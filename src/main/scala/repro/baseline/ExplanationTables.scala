@@ -1,7 +1,7 @@
 package repro.baseline
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{Metrics, Pattern}
+import repro.core.Pattern
 import repro.ml.LocalSample
 
 /** Explanation Tables baseline (Gebaly et al. [19], compared against in
@@ -117,8 +117,4 @@ object ExplanationTables {
     val out = summarize(sample, k)
     (out, (System.nanoTime() - t0) / 1e9)
   }
-
-  /** Convenience: exact supports of ET patterns on the full APT. */
-  def support(apt: DataFrame, pats: Seq[Pattern.Pattern]): Seq[Metrics.Coverage] =
-    Metrics.coverage(apt, pats)
 }

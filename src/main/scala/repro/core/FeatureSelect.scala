@@ -8,12 +8,7 @@ import repro.ml.{Correlation, LocalSample, RandomForest}
 object FeatureSelect {
 
   /** Result of attribute preprocessing on an APT sample. */
-  final case class Selected(
-      categorical: Vector[String],
-      numeric: Vector[String],
-      clusters: Seq[Seq[String]],
-      relevance: Map[String, Double],
-  )
+  final case class Selected(categorical: Vector[String], numeric: Vector[String])
 
   /** Runs relevance ranking + correlation clustering over the sample.
     *
@@ -31,12 +26,7 @@ object FeatureSelect {
   def filterAttrs(sample: LocalSample, params: Params): Selected = {
     val all = sample.attrs
     if (!params.featureSelection) {
-      return Selected(
-        all.filterNot(_.numeric).map(_.name),
-        all.filter(_.numeric).map(_.name),
-        all.map(a => Seq(a.name)),
-        all.map(_.name -> 1.0).toMap,
-      )
+      return Selected(all.filterNot(_.numeric).map(_.name), all.filter(_.numeric).map(_.name))
     }
     val importance = RandomForest.featureImportance(sample, RandomForest.Config(seed = params.seed))
 
@@ -57,9 +47,6 @@ object FeatureSelect {
 
     Selected(
       kept.filter(n => reps(n) && !all(sample.attrIndex(n)).numeric),
-      kept.filter(n => reps(n) && all(sample.attrIndex(n)).numeric),
-      clusters.map(_.map(i => sample.attrs(i).name)),
-      importance,
-    )
+      kept.filter(n => reps(n) && all(sample.attrIndex(n)).numeric))
   }
 }

@@ -14,13 +14,16 @@ import repro.ml.LocalSample
   */
 object Lca {
 
+  /** Sample-row pairs examined at most per call. */
+  private val MaxPairs = 250000
+
   /** Generates distinct candidate patterns from the sample over the given
     * categorical attributes, most frequently generated first. Patterns with
     * more than `maxPreds` predicates are truncated to their `maxPreds`
     * most selective agreements (rarest constants first), which keeps the
     * candidates within the k_cat-style size limit of Algorithm 1.
     */
-  def candidates(sample: LocalSample, catAttrs: Seq[String], maxPreds: Int, maxPairs: Int = 250000): Seq[Pattern.Pattern] = {
+  def candidates(sample: LocalSample, catAttrs: Seq[String], maxPreds: Int): Seq[Pattern.Pattern] = {
     val idx = catAttrs.map(a => a -> sample.attrIndex(a)).filter(_._2 >= 0)
     if (idx.isEmpty || sample.size < 2) return Nil
     val cols: Map[String, Vector[String]] = idx.map { case (a, i) => a -> sample.categoricalValues(i) }.toMap
@@ -33,9 +36,9 @@ object Lca {
     val counts = scala.collection.mutable.Map.empty[Pattern.Pattern, Int]
     var pairs = 0
     var i = 0
-    while (i < n && pairs < maxPairs) {
+    while (i < n && pairs < MaxPairs) {
       var j = i + 1
-      while (j < n && pairs < maxPairs) {
+      while (j < n && pairs < MaxPairs) {
         val preds = idx.flatMap { case (a, _) =>
           val vi = cols(a)(i); val vj = cols(a)(j)
           if (vi != null && vi == vj) Some(Pattern.Pred(a, Pattern.OpEq, Pattern.CatV(vi))) else None

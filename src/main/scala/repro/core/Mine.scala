@@ -52,14 +52,13 @@ object Mine {
   def mineJoinGraph(db: Schema.Database, q: Query.QuerySpec, pt: DataFrame,
                     jg: Schema.JoinGraph, params: Params,
                     timer: StepTimer = new StepTimer): MineResult = {
-    val apt = timer.time("Materialize APTs") {
+    val (apt, aptRows) = timer.time("Materialize APTs") {
       val a = Apt.materialize(db, q, pt, jg).cache()
-      a.count()
-      a
+      (a, a.count())
     }
     try {
       val attrCols = Apt.patternColumns(apt, q)
-      val stats = AptStats(apt.count(), attrCols.size)
+      val stats = AptStats(aptRows, attrCols.size)
       val (n1, n2) = Metrics.provSizes(pt)
       if (n1 == 0 || n2 == 0) return MineResult(Nil, stats)
 
@@ -70,11 +69,9 @@ object Mine {
         else {
           val cond = pmod(xxhash64(col("pt_id"), lit(params.seed)), lit(10000)) <
             lit((params.f1SampleRate * 10000).toInt)
-          val sApt = apt.filter(cond).cache()
-          val sizes = pt.filter(cond).groupBy("grp").agg(countDistinct("pt_id").as("n")).collect()
-            .map(r => r.getString(0) -> r.getLong(1)).toMap
-          val (s1, s2) = (sizes.getOrElse("t1", 0L), sizes.getOrElse("t2", 0L))
-          if (s1 == 0 || s2 == 0) (apt, n1, n2) else (sApt, s1, s2)
+          // No cache: `apt` is cached and the filter is one hash per row.
+          val (s1, s2) = Metrics.provSizes(pt.filter(cond))
+          if (s1 == 0 || s2 == 0) (apt, n1, n2) else (apt.filter(cond), s1, s2)
         }
       }
 

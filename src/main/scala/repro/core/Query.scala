@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Single-block SPJA queries and their why-provenance (paper Section 2.1).
@@ -143,9 +143,4 @@ object Query {
       case Array(attr)     => q.provCol(q.aliases.head, attr)
       case _               => throw new IllegalArgumentException(s"bad column ref $c")
     }
-
-  /** Spark needs numeric columns typed; generators emit typed frames, so the
-    * aggregate columns referenced by AvgOf/SumOf must be numeric already.
-    */
-  def requireSession(df: DataFrame): SparkSession = df.sparkSession
 }

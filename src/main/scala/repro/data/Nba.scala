@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.Query._
 import repro.core.Schema._
 import scala.util.Random
@@ -74,7 +74,7 @@ object Nba {
   )
 
   private val stars: Vector[Star] = Vector(
-    Star("Stephen Curry", s => Some("GSW"),
+    Star("Stephen Curry", _ => Some("GSW"),
       Vector(17, 18, 15, 22, 23, 24, 30, 25, 26, 27),
       Vector(35, 34, 32, 38, 37, 33, 34, 33, 33, 33),
       Vector(22, 23, 23, 24, 25, 27, 31, 28, 29, 29),
@@ -147,7 +147,6 @@ object Nba {
     }
 
     // Players: the stars plus 7 generic players per team (stable rosters).
-    val starIds = stars.zipWithIndex.map { case (st, i) => st.name -> (i + 1) }.toMap
     val genericPerTeam = 7
     val genericRows = for {
       (t, ti) <- teams.zipWithIndex
@@ -189,7 +188,6 @@ object Nba {
     }
 
     def playerStats(pid: Int, s: Int, won: Boolean, date: String, homeId: Int): PlayerGameStatsRow = {
-      val base = starIds.values.toSet
       val (pts, mins, usg) = stars.zipWithIndex.find(_._2 + 1 == pid) match {
         case Some((st, _)) =>
           val p = math.max(0.0, st.ptsMean(s) + rnd.nextGaussian() * 4 + (if (won) 1.5 else -1.5))
@@ -209,7 +207,6 @@ object Nba {
         assists = math.max(0, math.round(usg / 4 + rnd.nextGaussian() * 1.5).toInt),
         assisted_two_spct = math.round(math.min(1.0, math.max(0.0, 0.5 + rnd.nextGaussian() * 0.2)) * 100) / 100.0,
         deflongmidrangereboundpct = math.round(math.min(1.0, math.max(0.0, 0.15 + rnd.nextGaussian() * 0.1)) * 100) / 100.0)
-      // base is unused but documents that star ids are 1..stars.size
     }
 
     def teamStats(team: String, s: Int, pts: Int, poss: Int, date: String, homeId: Int): TeamGameStatsRow = {
@@ -443,6 +440,15 @@ object Nba {
     groupBy = Seq("s" -> "season_name"),
     agg = CountStar("win"),
   )
+
+  /** Join graph PT(g) – player_game_stats(1) – player(2) over Q_nba4's
+    * provenance: the APT of Figure 11, Table 10 and the study explanations.
+    */
+  val pgsPlayerJg: JoinGraph = JoinGraph(
+    Vector(JGNode(0, "PT"), JGNode(1, "player_game_stats"), JGNode(2, "player")),
+    Vector(
+      JGEdge(0, 1, Some("g"), JoinCond(Seq("game_date" -> "game_date", "home_id" -> "home_id"))),
+      JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
 
   /** Q_nba5 — Jimmy Butler's average points per season. */
   val qNba5: QuerySpec = playerPointsQuery("Jimmy Butler", "Q_nba5")

@@ -14,8 +14,6 @@ final case class LocalSample(
     rows: Vector[Array[Any]],
     labels: Vector[Int], // 0 = provenance of t1, 1 = provenance of t2
 ) {
-  def numericAttrs: Vector[LocalSample.Attr] = attrs.filter(_.numeric)
-  def categoricalAttrs: Vector[LocalSample.Attr] = attrs.filterNot(_.numeric)
   def attrIndex(name: String): Int = attrs.indexWhere(_.name == name)
   def size: Int = rows.size
 

@@ -77,7 +77,7 @@ object RandomForest {
     features.foreach { f =>
       val candidate =
         if (sample.attrs(f).numeric) bestNumericSplit(sample, idx, f, parentGini, cfg)
-        else bestCategoricalSplit(sample, idx, f, parentGini, cfg, rnd)
+        else bestCategoricalSplit(sample, idx, f, parentGini, cfg)
       candidate.foreach { case (s, gain) =>
         if (best.forall(_._2 < gain)) best = Some((s, gain))
       }
@@ -120,7 +120,7 @@ object RandomForest {
   }
 
   private def bestCategoricalSplit(sample: LocalSample, idx: Array[Int], f: Int,
-                                   parentGini: Double, cfg: Config, rnd: Random): Option[(Split, Double)] = {
+                                   parentGini: Double, cfg: Config): Option[(Split, Double)] = {
     val vals = idx.map(i => sample.rows(i)(f)).filter(_ != null).map(_.toString)
     if (vals.isEmpty) return None
     val top = vals.groupBy(identity).toSeq.sortBy(-_._2.length).take(16).map(_._1)

@@ -3,6 +3,7 @@ package repro.study
 import org.apache.spark.sql.DataFrame
 import repro.core._
 import repro.core.Schema._
+import repro.data.Nba.pgsPlayerJg
 import scala.util.Random
 
 /** User-study harness (paper Section 6.3, Tables 7/8/9).
@@ -39,13 +40,6 @@ object UserStudy {
   import Pattern.{Pred, OpEq, OpLe, OpGe, CatV, NumV}
 
   private def pat(ps: Pred*): Pattern.Pattern = Pattern.Pattern.of(ps: _*)
-
-  /** Join graph PT(g) – player_game_stats(1) – player(2) for Q_nba4. */
-  private val pgsPlayerJg = JoinGraph(
-    Vector(JGNode(0, "PT"), JGNode(1, "player_game_stats"), JGNode(2, "player")),
-    Vector(
-      JGEdge(0, 1, Some("g"), JoinCond(Seq("game_date" -> "game_date", "home_id" -> "home_id"))),
-      JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
 
   /** Join graph PT(g) – team_game_stats(1) for Q_nba4. */
   private val tgsJg = JoinGraph(

@@ -4,13 +4,12 @@ import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every Spark test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM. Broadcast joins are disabled, as in the experiment
+  * entry point, so the tiny test databases run the same shuffle joins
+  * that provenance, APT materialization and coverage use at larger scale.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -28,8 +27,8 @@ object SparkSpec {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in the test output that records the heap and parallelism
+    // the run used.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

@@ -14,8 +14,12 @@ class CajadeSpec extends SparkSpec {
   private val fast = Params(maxEdges = 2, maxJoinGraphs = 12, topK = 5,
     f1SampleRate = 1.0, qCostThreshold = 5e5)
 
+  /** UQ₁ explained once with `fast`, shared by the tests that inspect it. */
+  private lazy val uq1Result =
+    Cajade.explain(nba, Nba.qNba4, Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13"), fast)
+
   test("UQ₁ (GSW 2015-16 vs 2012-13) produces ranked explanations") {
-    val res = Cajade.explain(nba, Nba.qNba4, Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13"), fast)
+    val res = uq1Result
     assert(res.joinGraphCount > 1)
     val top = res.topExplanations(10)
     assert(top.nonEmpty)
@@ -25,13 +29,13 @@ class CajadeSpec extends SparkSpec {
   }
 
   test("UQ₁ top explanations include context (non-PT) attributes") {
-    val res = Cajade.explain(nba, Nba.qNba4, Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13"), fast)
+    val res = uq1Result
     val top = res.topExplanations(10)
     assert(top.exists(e => e.pattern.preds.exists(p => p.attr.startsWith("a"))))
   }
 
   test("global ranking dedupes identical patterns from different graphs") {
-    val res = Cajade.explain(nba, Nba.qNba4, Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13"), fast)
+    val res = uq1Result
     val top = res.topExplanations(20)
     val keys = top.map(e => (e.pattern, e.quality.primary))
     assert(keys.distinct.size == keys.size)
@@ -51,6 +55,15 @@ class CajadeSpec extends SparkSpec {
     val sp = Query.SinglePoint(Map("prov_s_season_name" -> "2015-16"))
     val res = Cajade.explain(nba, Nba.qNba4, sp, fast.copy(maxEdges = 1, maxJoinGraphs = 5))
     assert(res.explanations.nonEmpty)
+  }
+
+  test("explain with λ_F1-samp < 1 leaves no RDD persisted") {
+    val db = mimic // its cached tables count in `before`
+    val uq = Mimic.question(Mimic.qMimicInsurance, "Medicare", "Private")
+    val before = spark.sparkContext.getPersistentRDDs.size
+    Cajade.explain(db, Mimic.qMimicInsurance, uq,
+      fast.copy(maxEdges = 1, maxJoinGraphs = 2, f1SampleRate = 0.3))
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
   }
 
   test("timer records join-graph enumeration separately") {
