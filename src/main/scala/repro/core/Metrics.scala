@@ -1,15 +1,23 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import java.util.BitSet
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{NumericType, StringType}
+import scala.collection.mutable
 
 /** Quality metrics of explanation patterns (paper Definition 7).
   *
   * A PT tuple t' of output t is *covered* by (Ω, Φ) if at least one APT row
   * derived from t' matches Φ. Coverage is therefore counted per distinct
-  * `pt_id`, never per APT row — the group-by/max/sum cascade below computes
-  * it for a whole batch of patterns in a single Spark job, which is the
-  * optimization that makes mining over many candidates feasible.
+  * `pt_id`, never per APT row. It is counted on the driver by [[Table]]:
+  * the APT is collected once, every predicate becomes one row bitset, a
+  * pattern is the AND of its predicates' bitsets, and the covered PT tuples
+  * are the distinct `pt_id` runs among the set rows. Spark runs in local
+  * mode, so a cached APT already sits in the driver's heap, and mining
+  * evaluates hundreds of patterns on APTs of at most ~9k rows on every
+  * benchmark workload: the cost of a Spark aggregation per batch of
+  * patterns was job latency, not data.
   */
 object Metrics {
 
@@ -34,30 +42,167 @@ object Metrics {
     (m.getOrElse("t1", 0L), m.getOrElse("t2", 0L))
   }
 
-  /** Batched coverage: one Spark aggregation per `chunk` patterns.
-    *
-    * For every pattern i we compute max(match_i) per (pt_id, grp) — "was
-    * any APT row of this PT tuple a match" — then sum those indicators per
-    * grp. Returns coverage aligned with `patterns`.
+  /** Coverage of each of `patterns` over `apt` (a frame with `pt_id`, `grp`
+    * and the columns the patterns reference), aligned with `patterns`.
+    * Collects the referenced columns in one Spark job; no job when
+    * `patterns` is empty.
     */
-  def coverage(apt: DataFrame, patterns: Seq[Pattern.Pattern], chunk: Int = 96): Seq[Coverage] = {
-    if (patterns.isEmpty) return Nil
-    patterns.grouped(chunk).flatMap { batch =>
-      val matchCols = batch.zipWithIndex.map { case (p, i) =>
-        max(when(p.toColumn, lit(1)).otherwise(lit(0))).as(s"m$i")
+  def coverage(apt: DataFrame, patterns: Seq[Pattern.Pattern]): Seq[Coverage] =
+    if (patterns.isEmpty) Nil
+    else Table.collect(apt, patterns.flatMap(_.preds.map(_.attr)).distinct).coverage(patterns)
+
+  /** An APT held on the driver for coverage counting.
+    *
+    * Rows are sorted by (`grp`, `pt_id`): rows `[0, t1Rows)` belong to t1,
+    * the rest to t2, and the rows of one PT tuple are adjacent. Numeric
+    * columns are stored as `Double` (Spark compares an `Int` column with a
+    * `Double` constant after the same widening), strings as dictionary
+    * codes; both with nulls marked. The bitset of each predicate is
+    * computed once and memoized.
+    */
+  final class Table private (
+      ptIds: Array[Long],
+      t1Rows: Int,
+      columns: Map[String, Table.Col],
+      flags: BitSet,
+  ) {
+    private def rows: Int = ptIds.length
+    private val memo = mutable.HashMap.empty[Pattern.Pred, BitSet]
+
+    /** The rows whose flag was true at [[Table.collect]]; this same table
+      * when every row is flagged.
+      */
+    lazy val flagged: Table =
+      if (flags.cardinality == rows) this
+      else new Table(pick(ptIds, flags), flags.get(0, t1Rows).cardinality,
+        columns.map { case (a, c) => a -> c.subset(flags) }, all(flags.cardinality))
+
+    /** Coverage of each of `patterns`, aligned with `patterns`. */
+    def coverage(patterns: Seq[Pattern.Pattern]): Seq[Coverage] = patterns.map(coverageOf)
+
+    /** Distinct PT tuples of t1 and of t2 with at least one matching row;
+      * the empty pattern matches every row.
+      */
+    private def coverageOf(p: Pattern.Pattern): Coverage = {
+      val set =
+        if (p.isEmpty) all(rows)
+        else {
+          val b = matching(p.preds.head).clone().asInstanceOf[BitSet]
+          p.preds.tail.foreach(pr => b.and(matching(pr)))
+          b
+        }
+      var c1, c2 = 0L
+      var last = -1
+      var i = set.nextSetBit(0)
+      while (i >= 0) {
+        if (last < 0 || ptIds(i) != ptIds(last) || (last < t1Rows) != (i < t1Rows)) {
+          if (i < t1Rows) c1 += 1 else c2 += 1
+        }
+        last = i
+        i = set.nextSetBit(i + 1)
       }
-      val perTuple = apt.groupBy(col("pt_id"), col("grp"))
-        .agg(matchCols.head, matchCols.tail: _*)
-      val sumCols = batch.indices.map(i => sum(col(s"m$i")).as(s"s$i"))
-      val rows = perTuple.groupBy(col("grp")).agg(sumCols.head, sumCols.tail: _*).collect()
-      val byGrp = rows.map(r => r.getString(0) -> r).toMap
-      batch.indices.map { i =>
-        def cnt(g: String): Long =
-          byGrp.get(g).map(r => if (r.isNullAt(i + 1)) 0L else r.getLong(i + 1)).getOrElse(0L)
-        Coverage(cnt("t1"), cnt("t2"))
-      }
-    }.toSeq
+      Coverage(c1, c2)
+    }
+
+    private def matching(p: Pattern.Pred): BitSet = memo.getOrElseUpdate(p, {
+      val col = columns.getOrElse(p.attr,
+        throw new IllegalArgumentException(s"${p.render}: column ${p.attr} was not collected"))
+      col.matching(p)
+    })
   }
+
+  object Table {
+
+    /** Collects `pt_id`, `grp`, `attrs` and the boolean `flag` of every row
+      * of `apt` whose `grp` is t1 or t2, in one Spark job. Rows with a
+      * false or null flag are left out of [[Table.flagged]] only.
+      */
+    def collect(apt: DataFrame, attrs: Seq[String], flag: Column = lit(true)): Table = {
+      val raw = apt.select(Seq(col("pt_id"), col("grp"), flag) ++ attrs.map(col): _*).collect()
+        .filter(r => r.get(1) == "t1" || r.get(1) == "t2")
+      val sorted = raw.sortBy(r => (r.getString(1), r.getAs[Number](0).longValue))
+      val columns = attrs.zipWithIndex.map { case (a, j) =>
+        val values = sorted.map(_.get(j + 3))
+        a -> (apt.schema(a).dataType match {
+          case _: NumericType => NumCol(values.map(v => if (v == null) 0.0 else v.asInstanceOf[Number].doubleValue),
+                                        mask(values.map(_ == null)))
+          case StringType =>
+            val dict = values.iterator.filter(_ != null).map(_.asInstanceOf[String]).distinct.zipWithIndex.toMap
+            StrCol(values.map(v => if (v == null) -1 else dict(v.asInstanceOf[String])), dict)
+          case other => throw new IllegalArgumentException(s"coverage over $a of type $other is not supported")
+        })
+      }.toMap
+      new Table(sorted.map(_.getAs[Number](0).longValue), sorted.count(_.getString(1) == "t1"),
+        columns, mask(sorted.map(r => !r.isNullAt(2) && r.getBoolean(2))))
+    }
+
+    private sealed trait Col {
+      def matching(p: Pattern.Pred): BitSet
+      def subset(rows: BitSet): Col
+    }
+
+    private final case class NumCol(values: Array[Double], nulls: BitSet) extends Col {
+      def matching(p: Pattern.Pred): BitSet = {
+        val c = p.value match {
+          case Pattern.NumV(d) => d
+          case _ => throw new IllegalArgumentException(s"${p.render}: a string constant on a numeric column")
+        }
+        val out = new BitSet(values.length)
+        var i = 0
+        while (i < values.length) {
+          if (!nulls.get(i)) {
+            val cmp = compare(values(i), c)
+            val hit = p.op match {
+              case Pattern.OpEq => cmp == 0
+              case Pattern.OpLe => cmp <= 0
+              case Pattern.OpGe => cmp >= 0
+            }
+            if (hit) out.set(i)
+          }
+          i += 1
+        }
+        out
+      }
+      def subset(rows: BitSet): Col = NumCol(pick(values, rows), pickBits(nulls, rows))
+    }
+
+    private final case class StrCol(codes: Array[Int], dict: Map[String, Int]) extends Col {
+      def matching(p: Pattern.Pred): BitSet = {
+        val code = (p.op, p.value) match {
+          case (Pattern.OpEq, Pattern.CatV(s)) => dict.getOrElse(s, -2)
+          case _ => throw new IllegalArgumentException(s"${p.render}: only = with a string constant applies to a string column")
+        }
+        val out = new BitSet(codes.length)
+        var i = 0
+        while (i < codes.length) {
+          if (codes(i) == code) out.set(i)
+          i += 1
+        }
+        out
+      }
+      def subset(rows: BitSet): Col = StrCol(pick(codes, rows), dict)
+    }
+
+    /** Spark SQL's double ordering: -0.0 equals 0.0, NaN equals NaN and is
+      * greater than every other value.
+      */
+    private def compare(x: Double, y: Double): Int =
+      if (x == y) 0 else java.lang.Double.compare(x, y)
+  }
+
+  private def mask(bits: Array[Boolean]): BitSet = {
+    val b = new BitSet(bits.length)
+    bits.indices.foreach(i => if (bits(i)) b.set(i))
+    b
+  }
+
+  private def all(n: Int): BitSet = { val b = new BitSet(n); b.set(0, n); b }
+
+  private def pick[T: scala.reflect.ClassTag](xs: Array[T], rows: BitSet): Array[T] =
+    rows.stream().toArray.map(xs(_))
+
+  private def pickBits(bits: BitSet, rows: BitSet): BitSet =
+    mask(rows.stream().toArray.map(bits.get))
 
   /** Derives precision/recall/F-score (Definition 7(e)) from coverage given
     * the provenance sizes and the chosen primary tuple.

@@ -10,9 +10,11 @@ import repro.ml.LocalSample
   * Phases: (i) sample + feature selection, (ii) LCA candidates over
   * categorical attributes, (iii) recall filtering with the monotonicity
   * pruning of Proposition 3.1, (iv) numeric refinement over domain
-  * fragments, (v) diverse top-k by wscore. Candidate evaluation during
-  * mining runs on a pt_id-sampled APT (λ_F1-samp); the returned top-k is
-  * re-scored exactly on the full APT so reported supports are precise.
+  * fragments, (v) diverse top-k by wscore. The selected attributes of the
+  * APT are collected once into a driver-side `Metrics.Table`; candidate
+  * evaluation during mining runs on its pt_id-sampled rows (λ_F1-samp), and
+  * the returned top-k is re-scored exactly on all rows so reported supports
+  * are precise.
   */
 object Mine {
 
@@ -64,16 +66,17 @@ object Mine {
 
       // Sampling for F-score calculation: a deterministic pt_id-hash sample
       // of APT rows *per PT tuple*, so per-tuple coverage stays well defined.
-      val (evalApt, en1, en2) = timer.time("Sampling for F1") {
-        if (params.f1SampleRate >= 1.0) (apt, n1, n2)
+      val cond = pmod(xxhash64(col("pt_id"), lit(params.seed)), lit(10000)) <
+        lit((params.f1SampleRate * 10000).toInt)
+      val (sampled, en1, en2) = timer.time("Sampling for F1") {
+        if (params.f1SampleRate >= 1.0) (false, n1, n2)
         else {
-          val cond = pmod(xxhash64(col("pt_id"), lit(params.seed)), lit(10000)) <
-            lit((params.f1SampleRate * 10000).toInt)
-          // No cache: `apt` is cached and the filter is one hash per row.
           val (s1, s2) = Metrics.provSizes(pt.filter(cond))
-          if (s1 == 0 || s2 == 0) (apt, n1, n2) else (apt.filter(cond), s1, s2)
+          if (s1 == 0 || s2 == 0) (false, n1, n2) else (true, s1, s2)
         }
       }
+      // No cache: `apt` is cached and the filter is one hash per row.
+      val evalApt = if (sampled) apt.filter(cond) else apt
 
       val sample = timer.time("Feature Selection") {
         LocalSample.collect(apt, attrCols, params.patSampleRate, params.patSampleCap, params.seed)
@@ -86,11 +89,19 @@ object Mine {
         Lca.candidates(sample, selected.categorical, params.maxCatPreds)
       }
 
+      // Every pattern from here on uses only the selected attributes: collect
+      // them once, with the F1-sample flag, and count coverage on the driver.
+      val (table, evalTable) = timer.time("F-score Calc.") {
+        val t = Metrics.Table.collect(apt, selected.categorical ++ selected.numeric,
+          if (sampled) cond else lit(true))
+        (t, t.flagged)
+      }
+
       // Recall-filter LCA candidates against the (sampled) APT and promote
       // the k_cat best by recall (either orientation), plus the empty
       // pattern as the root for numeric-only refinements.
       val catQuality = timer.time("F-score Calc.") {
-        evaluate(evalApt, catCandidates, en1, en2)
+        evaluate(evalTable, catCandidates, en1, en2)
       }
       val promoted: Seq[Pattern.Pattern] = catQuality
         .filter { case (_, q1, q2) => q1.recall >= params.recallThreshold || q2.recall >= params.recallThreshold }
@@ -128,7 +139,7 @@ object Mine {
         }
         done ++= expansions
         val evaluated = timer.time("F-score Calc.") {
-          evaluate(evalApt, expansions, en1, en2)
+          evaluate(evalTable, expansions, en1, en2)
         }
         evaluated.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
         frontier = evaluated
@@ -150,7 +161,7 @@ object Mine {
 
       // …then exact re-scoring of just the winners on the full APT.
       val exact = timer.time("F-score Calc.") {
-        val cov = Metrics.coverage(apt, picked.map(_._1))
+        val cov = table.coverage(picked.map(_._1))
         picked.zip(cov).map { case ((p, qu), c) =>
           Explanation(jg, p, Metrics.quality(c, n1, n2, qu.primary))
         }
@@ -161,9 +172,9 @@ object Mine {
     }
   }
 
-  /** Batched quality evaluation of patterns for both orientations. */
-  def evaluate(apt: DataFrame, patterns: Seq[Pattern.Pattern], n1: Long, n2: Long): Seq[(Pattern.Pattern, Metrics.Quality, Metrics.Quality)] = {
-    val cov = Metrics.coverage(apt, patterns)
+  /** Quality of patterns on `table` for both orientations. */
+  def evaluate(table: Metrics.Table, patterns: Seq[Pattern.Pattern], n1: Long, n2: Long): Seq[(Pattern.Pattern, Metrics.Quality, Metrics.Quality)] = {
+    val cov = table.coverage(patterns)
     patterns.zip(cov).map { case (p, c) =>
       (p, Metrics.quality(c, n1, n2, "t1"), Metrics.quality(c, n1, n2, "t2"))
     }

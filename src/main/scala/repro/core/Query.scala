@@ -64,7 +64,7 @@ object Query {
       val from = tables.map { case (r, al) => s"$r $al" }.mkString(", ")
       val conds =
         joins.map { case ((a1, c1), (a2, c2)) => s"$a1.$c1 = $a2.$c2" } ++
-          filters.map(f => s"${f.alias}.${f.attr} = '${f.value}'")
+          filters.map(f => s"${f.alias}.${f.attr} = '${f.value.replace("'", "''")}'")
       val where = if (conds.isEmpty) "" else conds.mkString(" WHERE ", " AND ", "")
       val grp = groupBy.map { case (al, a) => s"$al.$a" }.mkString(", ")
       val grpSel = groupBy.map { case (al, a) => s"$al.$a AS ${provCol(al, a)}" }.mkString(", ")

@@ -41,12 +41,6 @@ class MetricsSpec extends SparkSpec {
     val single = pats.map(p => Metrics.coverage(apt, Seq(p)).head)
     assert(batched == single)
   }
-  test("batching across chunk boundaries is consistent") {
-    val pats = Seq(pA, pB, pLow, pA, pB, pLow)
-    val small = Metrics.coverage(apt, pats, chunk = 2)
-    val big = Metrics.coverage(apt, pats, chunk = 100)
-    assert(small == big)
-  }
   test("empty pattern list yields empty coverage") {
     assert(Metrics.coverage(apt, Nil).isEmpty)
   }

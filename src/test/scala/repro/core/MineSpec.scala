@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestData}
 import repro.core.Pattern._
 import repro.core.Schema._
@@ -187,6 +190,47 @@ class MineSpec extends SparkSpec {
     val res = Mine.mineJoinGraph(nba, q, pt, salaryJg, Params(topK = 3, f1SampleRate = 1.0))
     assert(res.aptStats.rows > 0 && res.aptStats.attributes > 0)
   }
+
+  /** Spark jobs launched by `f`: jobs of the job group set around `f`,
+    * counted up to a sentinel job, since the listener bus delivers events
+    * in order.
+    */
+  private def sparkJobs(f: => Unit): Int = {
+    val sc = spark.sparkContext
+    val counted = new AtomicInteger
+    val drained = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
+          case "counted"  => counted.incrementAndGet()
+          case "sentinel" => drained.countDown()
+          case _          =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("counted", "jobs under test")
+      try f finally sc.clearJobGroup()
+      sc.setJobGroup("sentinel", "end of count")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      assert(drained.await(30, TimeUnit.SECONDS))
+      counted.get
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("refinement levels launch no Spark jobs: λ_attrNum 1 and 2 cost the same jobs") {
+    // On Ω₀ feature selection keeps three numeric attributes, so the
+    // second level has hundreds of expansions.
+    def mine(levels: Int) =
+      Mine.mineJoinGraph(nba, q, pt, JoinGraph.empty, Params(topK = 10, f1SampleRate = 1.0, maxNumericPreds = levels))
+    // The first call on a freshly cached `pt` launches fewer jobs than
+    // later ones; count from the second call on.
+    mine(1)
+    val one = sparkJobs(mine(1))
+    val two = sparkJobs(mine(2))
+    assert(one > 0 && two == one)
+  }
+
   test("step timer accumulates the Figure 7 step names") {
     val timer = new Mine.StepTimer
     Mine.mineJoinGraph(nba, q, pt, salaryJg, Params(topK = 3), timer)

@@ -155,6 +155,15 @@ class QueryProvenanceSpec extends SparkSpec {
     val sql = Nba.qNba4.toSql
     assert(sql.contains("GROUP BY s.season_name") && sql.contains("count(*)"))
   }
+  test("toSql escapes single quotes in filter values") {
+    import spark.implicits._
+    val player = Seq((1, "O'Brien", "BOS"), (2, "O'Brien", "NYK"), (3, "Smith", "BOS"))
+      .toDF("player_id", "player_name", "team")
+    val db = Schema.Database(Map("player" -> player), Schema.SchemaGraph(Map.empty, Nil))
+    val q = Query.QuerySpec("obrien", Seq("player" -> "p"), Nil,
+      Seq(Query.Filter("p", "player_name", "O'Brien")), Seq("p" -> "team"), Query.CountStar("cnt"))
+    Oracle.assertEquivalent(Query.run(db, q), q.toSql, "player" -> player)
+  }
   test("relOfAlias resolves and rejects unknown aliases") {
     assert(Nba.qNba4.relOfAlias("g") == "game")
     intercept[IllegalArgumentException] { Nba.qNba4.relOfAlias("zz") }
