@@ -31,12 +31,13 @@ object Cajade {
               timer: Mine.StepTimer = new Mine.StepTimer): Result = {
     val pt: DataFrame = Query.questionProvenance(db, q, uq).cache()
     try {
-      val ptRows = pt.count()
+      val sizes = Mine.questionSizes(pt, params)
+      val ptRows = sizes.n1 + sizes.n2
       val graphs = timer.time("JG Enum.") {
         Enumerate.enumerate(db, q, params, ptRows)
       }
       val perGraph = graphs.map { jg =>
-        jg -> Mine.mineJoinGraph(db, q, pt, jg, params, timer)
+        jg -> Mine.mineJoinGraph(db, q, pt, jg, params, timer, Some(sizes))
       }
       val all = perGraph.flatMap(_._2.explanations).sortBy(-_.fscore)
       Result(all, perGraph, graphs.size, timer)

@@ -3,7 +3,7 @@ package repro.core
 import java.util.BitSet
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{NumericType, StringType}
+import org.apache.spark.sql.types.NumericType
 import scala.collection.mutable
 
 /** Quality metrics of explanation patterns (paper Definition 7).
@@ -14,10 +14,10 @@ import scala.collection.mutable
   * the APT is collected once, every predicate becomes one row bitset, a
   * pattern is the AND of its predicates' bitsets, and the covered PT tuples
   * are the distinct `pt_id` runs among the set rows. Spark runs in local
-  * mode, so a cached APT already sits in the driver's heap, and mining
-  * evaluates hundreds of patterns on APTs of at most ~9k rows on every
-  * benchmark workload: the cost of a Spark aggregation per batch of
-  * patterns was job latency, not data.
+  * mode, so a collected APT shares the driver's heap with Spark's own
+  * cache, and mining evaluates hundreds of patterns on APTs of at most ~9k
+  * rows on every benchmark workload: the cost of a Spark aggregation per
+  * batch of patterns was job latency, not data.
   */
 object Metrics {
 
@@ -35,11 +35,12 @@ object Metrics {
       support2: (Long, Long), // (covered, total) for t2
   )
 
-  /** Counts |PT(Q,D,t1)| and |PT(Q,D,t2)| as distinct pt_ids by grp. */
+  /** Counts |PT(Q,D,t1)| and |PT(Q,D,t2)|: the PT tuples the empty pattern
+    * covers, from one collect of `pt_id` and `grp`.
+    */
   def provSizes(pt: DataFrame): (Long, Long) = {
-    val rows = pt.groupBy("grp").agg(countDistinct("pt_id").as("n")).collect()
-    val m = rows.map(r => r.getString(0) -> r.getLong(1)).toMap
-    (m.getOrElse("t1", 0L), m.getOrElse("t2", 0L))
+    val Seq(c) = Table.collect(pt, Nil).coverage(Seq(Pattern.Pattern.empty))
+    (c.cov1, c.cov2)
   }
 
   /** Coverage of each of `patterns` over `apt` (a frame with `pt_id`, `grp`
@@ -51,7 +52,7 @@ object Metrics {
     if (patterns.isEmpty) Nil
     else Table.collect(apt, patterns.flatMap(_.preds.map(_.attr)).distinct).coverage(patterns)
 
-  /** An APT held on the driver for coverage counting.
+  /** An APT held on the driver, column by column.
     *
     * Rows are sorted by (`grp`, `pt_id`): rows `[0, t1Rows)` belong to t1,
     * the rest to t2, and the rows of one PT tuple are adjacent. Numeric
@@ -62,11 +63,11 @@ object Metrics {
     */
   final class Table private (
       ptIds: Array[Long],
-      t1Rows: Int,
+      val t1Rows: Int,
       columns: Map[String, Table.Col],
       flags: BitSet,
   ) {
-    private def rows: Int = ptIds.length
+    def rows: Int = ptIds.length
     private val memo = mutable.HashMap.empty[Pattern.Pred, BitSet]
 
     /** The rows whose flag was true at [[Table.collect]]; this same table
@@ -74,8 +75,25 @@ object Metrics {
       */
     lazy val flagged: Table =
       if (flags.cardinality == rows) this
-      else new Table(pick(ptIds, flags), flags.get(0, t1Rows).cardinality,
-        columns.map { case (a, c) => a -> c.subset(flags) }, all(flags.cardinality))
+      else {
+        val keep = flags.stream().toArray
+        new Table(keep.map(ptIds), flags.get(0, t1Rows).cardinality,
+          columns.map { case (a, c) => a -> c.subset(keep) }, all(keep.length))
+      }
+
+    /** Whether `attr` was collected as a number. */
+    def isNumeric(attr: String): Boolean = column(attr).isInstanceOf[Table.NumCol]
+
+    /** `attr` in row `i` as [[repro.ml.LocalSample]] holds it: a `Double`
+      * (NaN for null) for a numeric column, the `String` (or null) otherwise.
+      */
+    def value(attr: String, i: Int): Any = column(attr).value(i)
+
+    /** The numeric column `attr`, one `Double` per row, NaN for null. */
+    def doubles(attr: String): Array[Double] = column(attr) match {
+      case Table.NumCol(values, nulls) => Array.tabulate(rows)(i => if (nulls.get(i)) Double.NaN else values(i))
+      case _ => throw new IllegalArgumentException(s"column $attr is not numeric")
+    }
 
     /** Coverage of each of `patterns`, aligned with `patterns`. */
     def coverage(patterns: Seq[Pattern.Pattern]): Seq[Coverage] = patterns.map(coverageOf)
@@ -104,41 +122,45 @@ object Metrics {
       Coverage(c1, c2)
     }
 
-    private def matching(p: Pattern.Pred): BitSet = memo.getOrElseUpdate(p, {
-      val col = columns.getOrElse(p.attr,
-        throw new IllegalArgumentException(s"${p.render}: column ${p.attr} was not collected"))
-      col.matching(p)
-    })
+    private def column(attr: String): Table.Col =
+      columns.getOrElse(attr, throw new IllegalArgumentException(s"column $attr was not collected"))
+
+    private def matching(p: Pattern.Pred): BitSet = memo.getOrElseUpdate(p, column(p.attr).matching(p))
   }
 
   object Table {
 
     /** Collects `pt_id`, `grp`, `attrs` and the boolean `flag` of every row
-      * of `apt` whose `grp` is t1 or t2, in one Spark job. Rows with a
-      * false or null flag are left out of [[Table.flagged]] only.
+      * of `apt` whose `grp` is t1 or t2, in one Spark job, and keeps them
+      * as columns. Rows with a false or null flag are left out of
+      * [[Table.flagged]] only. A column that is neither numeric nor a
+      * string is held as the strings of its values.
       */
     def collect(apt: DataFrame, attrs: Seq[String], flag: Column = lit(true)): Table = {
       val raw = apt.select(Seq(col("pt_id"), col("grp"), flag) ++ attrs.map(col): _*).collect()
-        .filter(r => r.get(1) == "t1" || r.get(1) == "t2")
-      val sorted = raw.sortBy(r => (r.getString(1), r.getAs[Number](0).longValue))
+      val ids = raw.map(_.getAs[Number](0).longValue)
+      val isT2 = raw.map(_.get(1) == "t2")
+      val order = raw.indices.filter(i => isT2(i) || raw(i).get(1) == "t1").toArray
+        .sortWith((a, b) => if (isT2(a) != isT2(b)) isT2(b) else ids(a) < ids(b))
       val columns = attrs.zipWithIndex.map { case (a, j) =>
-        val values = sorted.map(_.get(j + 3))
+        val values = order.map(i => raw(i).get(j + 3))
         a -> (apt.schema(a).dataType match {
           case _: NumericType => NumCol(values.map(v => if (v == null) 0.0 else v.asInstanceOf[Number].doubleValue),
                                         mask(values.map(_ == null)))
-          case StringType =>
-            val dict = values.iterator.filter(_ != null).map(_.asInstanceOf[String]).distinct.zipWithIndex.toMap
-            StrCol(values.map(v => if (v == null) -1 else dict(v.asInstanceOf[String])), dict)
-          case other => throw new IllegalArgumentException(s"coverage over $a of type $other is not supported")
+          case _ =>
+            val strings = values.map(v => if (v == null) null else v.toString)
+            val dict = strings.iterator.filter(_ != null).distinct.zipWithIndex.toMap
+            StrCol(strings.map(v => if (v == null) -1 else dict(v)), dict)
         })
       }.toMap
-      new Table(sorted.map(_.getAs[Number](0).longValue), sorted.count(_.getString(1) == "t1"),
-        columns, mask(sorted.map(r => !r.isNullAt(2) && r.getBoolean(2))))
+      new Table(order.map(ids), order.count(!isT2(_)), columns,
+        mask(order.map(i => !raw(i).isNullAt(2) && raw(i).getBoolean(2))))
     }
 
     private sealed trait Col {
       def matching(p: Pattern.Pred): BitSet
-      def subset(rows: BitSet): Col
+      def subset(rows: Array[Int]): Col
+      def value(i: Int): Any
     }
 
     private final case class NumCol(values: Array[Double], nulls: BitSet) extends Col {
@@ -163,10 +185,16 @@ object Metrics {
         }
         out
       }
-      def subset(rows: BitSet): Col = NumCol(pick(values, rows), pickBits(nulls, rows))
+      def subset(rows: Array[Int]): Col = NumCol(rows.map(values), mask(rows.map(nulls.get)))
+      def value(i: Int): Any = if (nulls.get(i)) Double.NaN else values(i)
     }
 
     private final case class StrCol(codes: Array[Int], dict: Map[String, Int]) extends Col {
+      private lazy val strings: Array[String] = {
+        val s = new Array[String](dict.size)
+        dict.foreach { case (v, c) => s(c) = v }
+        s
+      }
       def matching(p: Pattern.Pred): BitSet = {
         val code = (p.op, p.value) match {
           case (Pattern.OpEq, Pattern.CatV(s)) => dict.getOrElse(s, -2)
@@ -180,7 +208,8 @@ object Metrics {
         }
         out
       }
-      def subset(rows: BitSet): Col = StrCol(pick(codes, rows), dict)
+      def subset(rows: Array[Int]): Col = StrCol(rows.map(codes), dict)
+      def value(i: Int): Any = if (codes(i) < 0) null else strings(codes(i))
     }
 
     /** Spark SQL's double ordering: -0.0 equals 0.0, NaN equals NaN and is
@@ -197,12 +226,6 @@ object Metrics {
   }
 
   private def all(n: Int): BitSet = { val b = new BitSet(n); b.set(0, n); b }
-
-  private def pick[T: scala.reflect.ClassTag](xs: Array[T], rows: BitSet): Array[T] =
-    rows.stream().toArray.map(xs(_))
-
-  private def pickBits(bits: BitSet, rows: BitSet): BitSet =
-    mask(rows.stream().toArray.map(bits.get))
 
   /** Derives precision/recall/F-score (Definition 7(e)) from coverage given
     * the provenance sizes and the chosen primary tuple.

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.ml.LocalSample
 
@@ -10,11 +10,12 @@ import repro.ml.LocalSample
   * Phases: (i) sample + feature selection, (ii) LCA candidates over
   * categorical attributes, (iii) recall filtering with the monotonicity
   * pruning of Proposition 3.1, (iv) numeric refinement over domain
-  * fragments, (v) diverse top-k by wscore. The selected attributes of the
-  * APT are collected once into a driver-side `Metrics.Table`; candidate
-  * evaluation during mining runs on its pt_id-sampled rows (λ_F1-samp), and
-  * the returned top-k is re-scored exactly on all rows so reported supports
-  * are precise.
+  * fragments, (v) diverse top-k by wscore. The APT's pattern columns are
+  * collected once into a driver-side `Metrics.Table`, the only Spark
+  * action per join graph; the sample, the fragments and every candidate
+  * evaluation are computed from it. Candidates are evaluated on its
+  * pt_id-sampled rows (λ_F1-samp), and the returned top-k is re-scored
+  * exactly on all rows so reported supports are precise.
   */
 object Mine {
 
@@ -48,128 +49,137 @@ object Mine {
 
   final case class MineResult(explanations: Seq[Explanation], aptStats: AptStats)
 
+  /** |PT(Q,D,t1)| and |PT(Q,D,t2)|, and the same counts over the PT
+    * tuples of the λ_F1-samp sample (equal to them at λ_F1-samp = 1).
+    */
+  final case class QuestionSizes(n1: Long, n2: Long, s1: Long, s2: Long)
+
+  /** The sizes of the question's provenance `pt`, counted on the driver from
+    * one collect of its `pt_id`, `grp` and λ_F1-samp flag.
+    */
+  def questionSizes(pt: DataFrame, params: Params): QuestionSizes = {
+    val t = Metrics.Table.collect(pt, Nil, f1Flag(params))
+    val Seq(all) = t.coverage(Seq(Pattern.Pattern.empty))
+    val Seq(sampled) = t.flagged.coverage(Seq(Pattern.Pattern.empty))
+    QuestionSizes(all.cov1, all.cov2, sampled.cov1, sampled.cov2)
+  }
+
+  /** Whether a row belongs to the λ_F1-samp sample: a deterministic hash of
+    * its `pt_id`, so the APT rows of one PT tuple are kept or dropped
+    * together and per-tuple coverage stays well defined.
+    */
+  private def f1Flag(params: Params): Column =
+    if (params.f1SampleRate >= 1.0) lit(true)
+    else pmod(xxhash64(col("pt_id"), lit(params.seed)), lit(10000)) < lit((params.f1SampleRate * 10000).toInt)
+
   /** Mines the top-k patterns for join graph `jg` over the provenance `pt`
     * of the user question (a frame with prov_ columns, `pt_id`, `grp`).
+    * The APT is computed by one Spark action, a collect of all its pattern
+    * columns: one job on Ω₀, plus one per shuffle stage of the joins under
+    * adaptive query execution. Every later step runs on the driver.
+    * `sizes` are computed from `pt` when not given.
     */
   def mineJoinGraph(db: Schema.Database, q: Query.QuerySpec, pt: DataFrame,
                     jg: Schema.JoinGraph, params: Params,
-                    timer: StepTimer = new StepTimer): MineResult = {
-    val (apt, aptRows) = timer.time("Materialize APTs") {
-      val a = Apt.materialize(db, q, pt, jg).cache()
-      (a, a.count())
+                    timer: StepTimer = new StepTimer,
+                    sizes: Option[QuestionSizes] = None): MineResult = {
+    val QuestionSizes(n1, n2, s1, s2) = sizes.getOrElse(timer.time("Sampling for F1") { questionSizes(pt, params) })
+    val (table, attrCols) = timer.time("Materialize APTs") {
+      val apt = Apt.materialize(db, q, pt, jg)
+      val cols = Apt.patternColumns(apt, q)
+      (Metrics.Table.collect(apt, cols, f1Flag(params)), cols)
     }
-    try {
-      val attrCols = Apt.patternColumns(apt, q)
-      val stats = AptStats(aptRows, attrCols.size)
-      val (n1, n2) = Metrics.provSizes(pt)
-      if (n1 == 0 || n2 == 0) return MineResult(Nil, stats)
+    val stats = AptStats(table.rows.toLong, attrCols.size)
+    if (n1 == 0 || n2 == 0) return MineResult(Nil, stats)
 
-      // Sampling for F-score calculation: a deterministic pt_id-hash sample
-      // of APT rows *per PT tuple*, so per-tuple coverage stays well defined.
-      val cond = pmod(xxhash64(col("pt_id"), lit(params.seed)), lit(10000)) <
-        lit((params.f1SampleRate * 10000).toInt)
-      val (sampled, en1, en2) = timer.time("Sampling for F1") {
-        if (params.f1SampleRate >= 1.0) (false, n1, n2)
-        else {
-          val (s1, s2) = Metrics.provSizes(pt.filter(cond))
-          if (s1 == 0 || s2 == 0) (false, n1, n2) else (true, s1, s2)
-        }
-      }
-      // No cache: `apt` is cached and the filter is one hash per row.
-      val evalApt = if (sampled) apt.filter(cond) else apt
+    // Candidates are evaluated on the F1-sampled rows, or on all rows when
+    // the sample misses t1 or t2.
+    val sampled = params.f1SampleRate < 1.0 && s1 > 0 && s2 > 0
+    val (evalTable, en1, en2) = timer.time("Sampling for F1") {
+      if (sampled) (table.flagged, s1, s2) else (table, n1, n2)
+    }
 
-      val sample = timer.time("Feature Selection") {
-        LocalSample.collect(apt, attrCols, params.patSampleRate, params.patSampleCap, params.seed)
-      }
-      val selected = timer.time("Feature Selection") {
-        FeatureSelect.filterAttrs(sample, params)
-      }
+    val sample = timer.time("Feature Selection") {
+      LocalSample.draw(table, attrCols, params.patSampleRate, params.patSampleCap, params.seed)
+    }
+    val selected = timer.time("Feature Selection") {
+      FeatureSelect.filterAttrs(sample, params)
+    }
 
-      val catCandidates = timer.time("Gen. Pat. Cand.") {
-        Lca.candidates(sample, selected.categorical, params.maxCatPreds)
-      }
+    val catCandidates = timer.time("Gen. Pat. Cand.") {
+      Lca.candidates(sample, selected.categorical, params.maxCatPreds)
+    }
 
-      // Every pattern from here on uses only the selected attributes: collect
-      // them once, with the F1-sample flag, and count coverage on the driver.
-      val (table, evalTable) = timer.time("F-score Calc.") {
-        val t = Metrics.Table.collect(apt, selected.categorical ++ selected.numeric,
-          if (sampled) cond else lit(true))
-        (t, t.flagged)
-      }
+    // Recall-filter LCA candidates against the (sampled) APT and promote
+    // the k_cat best by recall (either orientation), plus the empty
+    // pattern as the root for numeric-only refinements.
+    val catQuality = timer.time("F-score Calc.") {
+      evaluate(evalTable, catCandidates, en1, en2)
+    }
+    val promoted: Seq[Pattern.Pattern] = catQuality
+      .filter { case (_, q1, q2) => q1.recall >= params.recallThreshold || q2.recall >= params.recallThreshold }
+      .sortBy { case (_, q1, q2) => -math.max(q1.recall, q2.recall) }
+      .take(params.kCat)
+      .map(_._1)
 
-      // Recall-filter LCA candidates against the (sampled) APT and promote
-      // the k_cat best by recall (either orientation), plus the empty
-      // pattern as the root for numeric-only refinements.
-      val catQuality = timer.time("F-score Calc.") {
-        evaluate(evalTable, catCandidates, en1, en2)
+    val fragments: Map[String, Seq[Double]] = timer.time("Refine Patterns") {
+      numericFragments(evalTable, selected.numeric, params.nFragments)
+    }
+
+    val all = scala.collection.mutable.ArrayBuffer.empty[(Pattern.Pattern, Metrics.Quality)]
+    catQuality.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
+
+    // Level-wise numeric refinement with monotonicity pruning: a pattern
+    // whose recall is below λ_recall for both orientations cannot yield a
+    // useful refinement (Proposition 3.1) and is dropped from the beam.
+    var frontier: Seq[Pattern.Pattern] = promoted :+ Pattern.Pattern.empty
+    val done = scala.collection.mutable.Set.empty[Pattern.Pattern]
+    done ++= catCandidates
+    done += Pattern.Pattern.empty
+    var level = 0
+    while (frontier.nonEmpty && level < params.maxNumericPreds) {
+      val expansions = timer.time("Refine Patterns") {
+        (for {
+          p <- frontier
+          if p.numericPredCount < params.maxNumericPreds
+          a <- selected.numeric
+          if !p.attrs(a)
+          op <- Seq(Pattern.OpLe, Pattern.OpGe)
+          c <- fragments.getOrElse(a, Nil)
+        } yield p.refined(Pattern.Pred(a, op, Pattern.NumV(c))))
+          .distinct.filterNot(done)
+          .take(4096) // blow-up guard for the Naive (no feature selection) configuration
       }
-      val promoted: Seq[Pattern.Pattern] = catQuality
+      done ++= expansions
+      val evaluated = timer.time("F-score Calc.") {
+        evaluate(evalTable, expansions, en1, en2)
+      }
+      evaluated.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
+      frontier = evaluated
         .filter { case (_, q1, q2) => q1.recall >= params.recallThreshold || q2.recall >= params.recallThreshold }
-        .sortBy { case (_, q1, q2) => -math.max(q1.recall, q2.recall) }
-        .take(params.kCat)
+        .sortBy { case (_, q1, q2) => -math.max(q1.fscore, q2.fscore) }
+        .take(params.maxFrontier)
         .map(_._1)
-
-      val fragments: Map[String, Seq[Double]] = timer.time("Refine Patterns") {
-        numericFragments(evalApt, selected.numeric, params.nFragments)
-      }
-
-      val all = scala.collection.mutable.ArrayBuffer.empty[(Pattern.Pattern, Metrics.Quality)]
-      catQuality.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
-
-      // Level-wise numeric refinement with monotonicity pruning: a pattern
-      // whose recall is below λ_recall for both orientations cannot yield a
-      // useful refinement (Proposition 3.1) and is dropped from the beam.
-      var frontier: Seq[Pattern.Pattern] = promoted :+ Pattern.Pattern.empty
-      val done = scala.collection.mutable.Set.empty[Pattern.Pattern]
-      done ++= catCandidates
-      done += Pattern.Pattern.empty
-      var level = 0
-      while (frontier.nonEmpty && level < params.maxNumericPreds) {
-        val expansions = timer.time("Refine Patterns") {
-          (for {
-            p <- frontier
-            if p.numericPredCount < params.maxNumericPreds
-            a <- selected.numeric
-            if !p.attrs(a)
-            op <- Seq(Pattern.OpLe, Pattern.OpGe)
-            c <- fragments.getOrElse(a, Nil)
-          } yield p.refined(Pattern.Pred(a, op, Pattern.NumV(c))))
-            .distinct.filterNot(done)
-            .take(4096) // blow-up guard for the Naive (no feature selection) configuration
-        }
-        done ++= expansions
-        val evaluated = timer.time("F-score Calc.") {
-          evaluate(evalTable, expansions, en1, en2)
-        }
-        evaluated.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
-        frontier = evaluated
-          .filter { case (_, q1, q2) => q1.recall >= params.recallThreshold || q2.recall >= params.recallThreshold }
-          .sortBy { case (_, q1, q2) => -math.max(q1.fscore, q2.fscore) }
-          .take(params.maxFrontier)
-          .map(_._1)
-        level += 1
-      }
-
-      // Diverse top-k (Section 3.5) on the estimated scores. Patterns that
-      // cover the entire provenance of BOTH tuples separate nothing — they
-      // are tautologies like `flag<=1` — and are excluded.
-      val candidates = all.toSeq
-        .filter { case (p, qu) => !p.isEmpty && qu.recall >= params.recallThreshold }
-        .filterNot { case (_, qu) =>
-          qu.support1._1 == qu.support1._2 && qu.support2._1 == qu.support2._2 }
-      val picked = selectDiverse(candidates, params.topK)
-
-      // …then exact re-scoring of just the winners on the full APT.
-      val exact = timer.time("F-score Calc.") {
-        val cov = table.coverage(picked.map(_._1))
-        picked.zip(cov).map { case ((p, qu), c) =>
-          Explanation(jg, p, Metrics.quality(c, n1, n2, qu.primary))
-        }
-      }
-      MineResult(exact.sortBy(-_.fscore), stats)
-    } finally {
-      apt.unpersist()
+      level += 1
     }
+
+    // Diverse top-k (Section 3.5) on the estimated scores. Patterns that
+    // cover the entire provenance of BOTH tuples separate nothing — they
+    // are tautologies like `flag<=1` — and are excluded.
+    val candidates = all.toSeq
+      .filter { case (p, qu) => !p.isEmpty && qu.recall >= params.recallThreshold }
+      .filterNot { case (_, qu) =>
+        qu.support1._1 == qu.support1._2 && qu.support2._1 == qu.support2._2 }
+    val picked = selectDiverse(candidates, params.topK)
+
+    // …then exact re-scoring of just the winners on the full APT.
+    val exact = timer.time("F-score Calc.") {
+      val cov = table.coverage(picked.map(_._1))
+      picked.zip(cov).map { case ((p, qu), c) =>
+        Explanation(jg, p, Metrics.quality(c, n1, n2, qu.primary))
+      }
+    }
+    MineResult(exact.sortBy(-_.fscore), stats)
   }
 
   /** Quality of patterns on `table` for both orientations. */
@@ -180,15 +190,30 @@ object Mine {
     }
   }
 
-  /** Domain fragment boundaries (Section 3.4): λ_#frag-quantile boundaries
-    * per numeric attribute, computed in one approxQuantile pass.
+  /** Domain fragment boundaries (Section 3.4): the exact
+    * λ_#frag-quantiles of each numeric attribute, the value of rank
+    * ⌈p·n⌉ among the n rows with no null or NaN in any of
+    * `numericAttrs`, for p = 1/λ_#frag, …, (λ_#frag−1)/λ_#frag.
+    * Duplicate boundaries collapse; an attribute gets none when no row
+    * is left.
     */
-  def numericFragments(apt: DataFrame, numericAttrs: Seq[String], nFragments: Int): Map[String, Seq[Double]] = {
-    if (numericAttrs.isEmpty) return Map.empty
-    val probs = (1 until nFragments).map(_.toDouble / nFragments).toArray
-    val qs = apt.na.drop(numericAttrs).stat.approxQuantile(numericAttrs.toArray, probs, 0.01)
-    numericAttrs.zip(qs.map(_.toSeq.distinct)).toMap
+  def numericFragments(table: Metrics.Table, numericAttrs: Seq[String], nFragments: Int): Map[String, Seq[Double]] = {
+    val cols = numericAttrs.map(table.doubles)
+    val kept = (0 until table.rows).filter(i => cols.forall(c => !c(i).isNaN)).toArray
+    numericAttrs.zip(cols).map { case (a, c) =>
+      val sorted = kept.map(c)
+      java.util.Arrays.sort(sorted)
+      a -> (if (sorted.isEmpty) Nil
+            else (1 until nFragments).map(f => sorted(math.ceil(f.toDouble / nFragments * sorted.length).toInt - 1)).distinct)
+    }.toMap
   }
+
+  /** [[numericFragments]] over `apt` (a frame with `pt_id`, `grp` and
+    * `numericAttrs`), collected to the driver first.
+    */
+  def numericFragments(apt: DataFrame, numericAttrs: Seq[String], nFragments: Int): Map[String, Seq[Double]] =
+    if (numericAttrs.isEmpty) Map.empty
+    else numericFragments(Metrics.Table.collect(apt, numericAttrs), numericAttrs, nFragments)
 
   /** Greedy diverse selection by wscore (Section 3.5). */
   def selectDiverse(cands: Seq[(Pattern.Pattern, Metrics.Quality)], k: Int): Seq[(Pattern.Pattern, Metrics.Quality)] = {

@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -15,6 +18,33 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Spark jobs launched by `f`: jobs of the job group set around `f`,
+    * counted up to a sentinel job, since the listener bus delivers events
+    * in order.
+    */
+  def sparkJobs(f: => Unit): Int = {
+    val sc = spark.sparkContext
+    val counted = new AtomicInteger
+    val drained = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
+          case "counted"  => counted.incrementAndGet()
+          case "sentinel" => drained.countDown()
+          case _          =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("counted", "jobs under test")
+      try f finally sc.clearJobGroup()
+      sc.setJobGroup("sentinel", "end of count")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      assert(drained.await(30, TimeUnit.SECONDS))
+      counted.get
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

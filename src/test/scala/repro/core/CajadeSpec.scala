@@ -41,6 +41,28 @@ class CajadeSpec extends SparkSpec {
     assert(keys.distinct.size == keys.size)
   }
 
+  test("UQ₁ top-k and supports do not depend on the shuffle partition count") {
+    // `pt_id` comes from monotonically_increasing_id, so its values follow
+    // the partition layout. At λ_F1-samp = 1 only its identity matters; at
+    // λ_F1-samp < 1 the F1 sample is a hash of it and stays layout-dependent
+    // until `pt_id` is derived from the PT row's base-relation keys.
+    val uq = Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13")
+    val params = fast.copy(maxEdges = 1, maxJoinGraphs = 3)
+    def topAt(partitions: Int) = {
+      val before = spark.conf.get("spark.sql.shuffle.partitions")
+      spark.conf.set("spark.sql.shuffle.partitions", partitions.toLong)
+      try {
+        val res = Cajade.explain(nba, Nba.qNba4, uq, params)
+        assert(res.joinGraphCount > 1)
+        res.topExplanations(10).map(e => (e.jg.describe, e.pattern.render, e.quality))
+      } finally spark.conf.set("spark.sql.shuffle.partitions", before)
+    }
+    val Seq(one, four, many) = Seq(1, 4, 64).map(topAt)
+    assert(one.nonEmpty)
+    assert(four == one)
+    assert(many == one)
+  }
+
   test("MIMIC UQ₂ (Medicare vs Private) surfaces emergency/age context") {
     val res = Cajade.explain(mimic, Mimic.qMimicInsurance,
       Mimic.question(Mimic.qMimicInsurance, "Medicare", "Private"), fast)

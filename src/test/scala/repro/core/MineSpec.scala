@@ -1,13 +1,12 @@
 package repro.core
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestData}
 import repro.core.Pattern._
 import repro.core.Schema._
 import repro.data.Nba
 import repro.ml.LocalSample
+import scala.util.Random
 
 /** Tests for LCA candidate generation, feature selection, and the MineAPT
   * pipeline (Algorithm 1).
@@ -61,6 +60,73 @@ class MineSpec extends SparkSpec {
     assert(Lca.candidates(sampleOf(Seq(("x", "1"))), Seq("a", "b"), 3).isEmpty)
   }
 
+  /** The pairwise LCA loop as first written, one `Pattern` per sample
+    * pair: the reference the coded kernel must reproduce exactly.
+    */
+  private def referenceCandidates(sample: LocalSample, catAttrs: Seq[String], maxPreds: Int): Seq[Pattern] = {
+    val maxPairs = 250000
+    val idx = catAttrs.map(a => a -> sample.attrIndex(a)).filter(_._2 >= 0)
+    if (idx.isEmpty || sample.size < 2) return Nil
+    val cols: Map[String, Vector[String]] = idx.map { case (a, i) => a -> sample.categoricalValues(i) }.toMap
+    val freq: Map[String, Map[String, Int]] = cols.map { case (a, vs) =>
+      a -> vs.filter(_ != null).groupBy(identity).map { case (v, g) => v -> g.size }
+    }
+    val n = sample.size
+    val counts = scala.collection.mutable.Map.empty[Pattern, Int]
+    var pairs = 0
+    var i = 0
+    while (i < n && pairs < maxPairs) {
+      var j = i + 1
+      while (j < n && pairs < maxPairs) {
+        val preds = idx.flatMap { case (a, _) =>
+          val vi = cols(a)(i); val vj = cols(a)(j)
+          if (vi != null && vi == vj) Some(Pred(a, OpEq, CatV(vi))) else None
+        }
+        if (preds.nonEmpty) {
+          val kept =
+            if (preds.size <= maxPreds) preds
+            else preds.sortBy(p => freq(p.attr).getOrElse(p.value.render, 0)).take(maxPreds)
+          val pat = Pattern.of(kept: _*)
+          counts(pat) = counts.getOrElse(pat, 0) + 1
+        }
+        pairs += 1
+        j += 1
+      }
+      i += 1
+    }
+    counts.toSeq.sortBy { case (p, c) => (-c, p.render) }.map(_._1)
+  }
+
+  test("coded LCA kernel returns the reference candidates in the reference order") {
+    val rnd = new Random(17)
+    // Attribute names out of name order, so that predicate order and the
+    // truncation's tie-break (attribute order) differ.
+    val names = Vector("m", "c", "x", "a", "k", "b")
+    def sample(n: Int, alphabet: Int, nullRate: Double): LocalSample = LocalSample(
+      names.map(LocalSample.Attr(_, numeric = false)),
+      Vector.fill(n)(Array.fill[Any](names.size) {
+        // Skewed values, so that value frequencies differ and also tie.
+        if (rnd.nextDouble() < nullRate) null else "v" + math.min(rnd.nextInt(alphabet), rnd.nextInt(alphabet))
+      }),
+      Vector.fill(n)(rnd.nextInt(2)))
+    val cases = Seq(
+      // (rows, alphabet, null rate, maxPreds)
+      (2, 2, 0.0, 3),
+      (40, 3, 0.2, 3),
+      (120, 2, 0.3, 2),   // most pairs agree on more than maxPreds attributes
+      (150, 2, 0.0, 1),
+      (60, 2, 0.1, 0),
+      (760, 4, 0.1, 3),   // 288 420 pairs, more than the 250 000 examined
+    )
+    cases.foreach { case (n, alphabet, nullRate, maxPreds) =>
+      val s = sample(n, alphabet, nullRate)
+      val attrs = rnd.shuffle(names).take(5) :+ "absent"
+      val expected = referenceCandidates(s, attrs, maxPreds)
+      assert(expected.nonEmpty)
+      assert(Lca.candidates(s, attrs, maxPreds) == expected, s"rows=$n maxPreds=$maxPreds")
+    }
+  }
+
   // ---- feature selection --------------------------------------------------
 
   test("feature selection keeps informative attributes and drops constants") {
@@ -102,8 +168,24 @@ class MineSpec extends SparkSpec {
     import spark.implicits._
     val df = (1 to 100).map(i => (i.toLong, "t1", i.toDouble)).toDF("pt_id", "grp", "v")
     val frags = Mine.numericFragments(df, Seq("v"), nFragments = 4)
-    assert(frags("v").size <= 3 && frags("v").nonEmpty)
-    assert(frags("v").forall(b => b >= 1 && b <= 100))
+    assert(frags("v") == Seq(25.0, 50.0, 75.0))
+  }
+  test("numeric fragments are approxQuantile's exact quantiles over the rows without null or NaN") {
+    import spark.implicits._
+    val rnd = new Random(5)
+    def maybe[T](v: => T): Option[T] = if (rnd.nextDouble() < 0.1) None else Some(v)
+    val df = (0 until 400).map { i =>
+      (i.toLong, if (i % 3 == 0) "t2" else "t1",
+        maybe(if (rnd.nextDouble() < 0.05) Double.NaN else rnd.nextInt(30).toDouble),
+        maybe(math.rint(rnd.nextGaussian() * 100) / 10),
+        maybe(rnd.nextInt(12)))
+    }.toDF("pt_id", "grp", "x", "y", "z")
+    val cols = Array("x", "y", "z")
+    for (k <- Seq(2, 4, 7)) {
+      val probs = (1 until k).map(_.toDouble / k).toArray
+      val exact = df.na.drop(cols.toSeq).stat.approxQuantile(cols, probs, 0.0)
+      assert(Mine.numericFragments(df, cols.toSeq, k) == cols.zip(exact.map(_.toSeq.distinct)).toMap, s"λ_#frag=$k")
+    }
   }
   test("fragments of a constant column collapse") {
     import spark.implicits._
@@ -164,6 +246,13 @@ class MineSpec extends SparkSpec {
     assert(res.explanations.nonEmpty)
     assert(res.explanations.forall(_.pattern.preds.forall(_.attr.startsWith("prov_"))))
   }
+  test("mining Ω₀ leaves the question's PT cached") {
+    // On Ω₀ the APT is the PT frame itself.
+    pt.cache().count()
+    assert(pt.storageLevel != StorageLevel.NONE)
+    Mine.mineJoinGraph(nba, q, pt, JoinGraph.empty, Params(topK = 5, f1SampleRate = 0.5))
+    assert(pt.storageLevel != StorageLevel.NONE)
+  }
   test("MineAPT results are sorted by F-score") {
     val res = Mine.mineJoinGraph(nba, q, pt, salaryJg, Params(topK = 8, f1SampleRate = 1.0))
     val fs = res.explanations.map(_.fscore)
@@ -191,41 +280,11 @@ class MineSpec extends SparkSpec {
     assert(res.aptStats.rows > 0 && res.aptStats.attributes > 0)
   }
 
-  /** Spark jobs launched by `f`: jobs of the job group set around `f`,
-    * counted up to a sentinel job, since the listener bus delivers events
-    * in order.
-    */
-  private def sparkJobs(f: => Unit): Int = {
-    val sc = spark.sparkContext
-    val counted = new AtomicInteger
-    val drained = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
-          case "counted"  => counted.incrementAndGet()
-          case "sentinel" => drained.countDown()
-          case _          =>
-        }
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup("counted", "jobs under test")
-      try f finally sc.clearJobGroup()
-      sc.setJobGroup("sentinel", "end of count")
-      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-      assert(drained.await(30, TimeUnit.SECONDS))
-      counted.get
-    } finally sc.removeSparkListener(listener)
-  }
-
   test("refinement levels launch no Spark jobs: λ_attrNum 1 and 2 cost the same jobs") {
     // On Ω₀ feature selection keeps three numeric attributes, so the
     // second level has hundreds of expansions.
     def mine(levels: Int) =
       Mine.mineJoinGraph(nba, q, pt, JoinGraph.empty, Params(topK = 10, f1SampleRate = 1.0, maxNumericPreds = levels))
-    // The first call on a freshly cached `pt` launches fewer jobs than
-    // later ones; count from the second call on.
-    mine(1)
     val one = sparkJobs(mine(1))
     val two = sparkJobs(mine(2))
     assert(one > 0 && two == one)
