@@ -1,7 +1,7 @@
 package repro.baseline
 
 import org.apache.spark.sql.DataFrame
-import repro.core.Pattern
+import repro.core.{Metrics, Pattern}
 import repro.ml.LocalSample
 
 /** Explanation Tables baseline (Gebaly et al. [19], compared against in
@@ -20,31 +20,30 @@ object ExplanationTables {
 
   final case class EtPattern(pattern: Pattern.Pattern, gain: Double, cov1: Long, cov2: Long)
 
+  private val NBins = 4    // quartile bins of the numeric attributes
+  private val MaxPreds = 6 // predicates per LCA candidate
+
   /** Bucketizes numeric columns of the sample into categorical quartile
-    * labels like "[q1,q2)" so ET's categorical machinery can use them.
+    * labels like "bin2" so ET's categorical machinery can use them: a
+    * sample over a new table of the sample's rows, every column a string.
     */
-  def bucketize(sample: LocalSample, nBins: Int = 4): LocalSample = {
-    val attrs = sample.attrs.map(a => a.copy(numeric = false))
-    val cols = sample.attrs.indices.map { i =>
-      if (!sample.attrs(i).numeric) sample.rows.map(_(i))
+  def bucketize(sample: LocalSample): LocalSample = {
+    val n = sample.size
+    val cols: Seq[(String, Array[Any])] = sample.attrs.zipWithIndex.map { case (a, i) =>
+      a.name -> (if (!a.numeric) sample.categoricalValues(i).toArray[Any]
       else {
         val vs = sample.numericValues(i)
         val sortedVals = vs.filterNot(_.isNaN).sorted
-        if (sortedVals.isEmpty) vs.map(_ => null)
+        if (sortedVals.isEmpty) new Array[Any](n)
         else {
-          val qs = (1 until nBins).map(k => sortedVals((sortedVals.size - 1) * k / nBins))
-          vs.map { v =>
-            if (v.isNaN) null
-            else {
-              val b = qs.count(_ < v)
-              s"bin$b": Any
-            }
-          }
+          val qs = (1 until NBins).map(k => sortedVals((sortedVals.length - 1) * k / NBins))
+          vs.map[Any](v => if (v.isNaN) null else s"bin${qs.count(_ < v)}")
         }
-      }
+      })
     }
-    val rows = sample.rows.indices.map(r => sample.attrs.indices.map(i => cols(i)(r)).toArray).toVector
-    LocalSample(attrs, rows, sample.labels)
+    val table = Metrics.Table(Array.tabulate(n)(_.toLong), (0 until n).count(sample.label(_) == 0), cols,
+      _ => false, Array.fill(n)(true))
+    LocalSample(table, sample.attrs.map(_.copy(numeric = false)), (0 until n).toVector)
   }
 
   /** Greedy ET summary of size `k` from an LCA candidate pool, scored by
@@ -52,18 +51,18 @@ object ExplanationTables {
     * covers (marginal gain over already-picked patterns, re-evaluated each
     * round — the quadratic loop).
     */
-  def summarize(sample0: LocalSample, k: Int, maxPreds: Int = 6): Seq[EtPattern] = {
+  def summarize(sample0: LocalSample, k: Int): Seq[EtPattern] = {
     val sample = bucketize(sample0)
-    val cats = sample.attrs.map(_.name)
-    val candidates = repro.core.Lca.candidates(sample, cats, maxPreds)
+    val candidates = repro.core.Lca.candidates(sample, sample.attrs.map(_.name), MaxPreds)
     val n = sample.size
-    if (n == 0 || candidates.isEmpty) return Nil
-
-    def matches(p: Pattern.Pattern, row: Array[Any]): Boolean =
-      p.preds.forall { pr =>
-        val v = row(sample.attrIndex(pr.attr))
-        v != null && v.toString == pr.value.render
-      }
+    val pool = scala.collection.mutable.ArrayBuffer(candidates.take(4000): _*)
+    // Each candidate as (an attribute's codes, the code it must equal) pairs.
+    val codes = sample.attrs.indices.map(sample.codes)
+    val compiled = pool.map { p =>
+      p -> p.preds.map(pr => (codes(sample.attrIndex(pr.attr)), sample.table.strings(pr.attr).indexOf(pr.value.render)))
+    }.toMap
+    def matches(p: Seq[(Array[Int], Int)], i: Int): Boolean =
+      p.forall { case (column, code) => column(i) == code }
 
     def entropy(c1: Int, c0: Int): Double = {
       val t = c1 + c0
@@ -75,19 +74,20 @@ object ExplanationTables {
     }
 
     val covered = Array.fill(n)(false)
+    val labels = Array.tabulate(n)(sample.label)
     val out = scala.collection.mutable.ArrayBuffer.empty[EtPattern]
-    val pool = scala.collection.mutable.ArrayBuffer(candidates.take(4000): _*)
-    val total1 = sample.labels.count(_ == 1)
+    val total1 = labels.count(_ == 1)
     val baseH = entropy(total1, n - total1)
     while (out.size < k && pool.nonEmpty) {
       // Re-score every remaining candidate against the uncovered rows.
       var best: Option[(Pattern.Pattern, Double, Long, Long)] = None
       pool.foreach { p =>
+        val pc = compiled(p)
         var c0 = 0; var c1 = 0
         var i = 0
         while (i < n) {
-          if (!covered(i) && matches(p, sample.rows(i))) {
-            if (sample.labels(i) == 0) c0 += 1 else c1 += 1
+          if (!covered(i) && matches(pc, i)) {
+            if (labels(i) == 0) c0 += 1 else c1 += 1
           }
           i += 1
         }
@@ -101,7 +101,7 @@ object ExplanationTables {
         case Some((p, g, c0, c1)) =>
           out += EtPattern(p, g, c0, c1)
           pool -= p
-          sample.rows.indices.foreach(i => if (matches(p, sample.rows(i))) covered(i) = true)
+          (0 until n).foreach(i => if (matches(compiled(p), i)) covered(i) = true)
         case None => pool.clear()
       }
     }

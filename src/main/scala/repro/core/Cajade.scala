@@ -25,13 +25,19 @@ object Cajade {
         .take(n)
   }
 
-  /** Runs the full pipeline for a query and user question. */
+  /** Runs the full pipeline for a query and user question. A question
+    * whose t1 or t2 has no provenance is rejected, as
+    * [[Query.provenanceTable]] rejects a malformed one.
+    */
   def explain(db: Schema.Database, q: Query.QuerySpec, uq: Query.UserQuestion,
               params: Params = Params.default,
               timer: Mine.StepTimer = new Mine.StepTimer): Result = {
     val pt: DataFrame = Query.questionProvenance(db, q, uq).cache()
     try {
       val sizes = Mine.questionSizes(pt, params)
+      for ((t, n) <- Seq("t1" -> sizes.n1, "t2" -> sizes.n2) if n == 0)
+        throw new IllegalArgumentException(
+          s"user question: $t ${uq.tuples.toMap.getOrElse(t, "(every other output tuple)")} has no provenance")
       val ptRows = sizes.n1 + sizes.n2
       val graphs = timer.time("JG Enum.") {
         Enumerate.enumerate(db, q, params, ptRows)

@@ -28,7 +28,7 @@ object FeatureSelect {
     if (!params.featureSelection) {
       return Selected(all.filterNot(_.numeric).map(_.name), all.filter(_.numeric).map(_.name))
     }
-    val importance = RandomForest.featureImportance(sample, RandomForest.Config(seed = params.seed))
+    val importance = RandomForest.featureImportance(sample, params.seed)
 
     def topOfKind(numeric: Boolean): Vector[String] =
       all.filter(_.numeric == numeric)
@@ -38,15 +38,12 @@ object FeatureSelect {
         .take(params.selAttrCount)
         .map(_._1)
 
-    val kept = topOfKind(numeric = false) ++ topOfKind(numeric = true)
-    val keptIdx = kept.map(sample.attrIndex)
-    val clusters = Correlation.cluster(sample, keptIdx, params.corrThreshold)
+    val (categorical, numeric) = (topOfKind(numeric = false), topOfKind(numeric = true))
+    val clusters = Correlation.cluster(sample, (categorical ++ numeric).map(sample.attrIndex), params.corrThreshold)
     val reps = clusters.map { c =>
       c.maxBy(i => importance.getOrElse(sample.attrs(i).name, 0.0))
     }.map(i => sample.attrs(i).name).toSet
 
-    Selected(
-      kept.filter(n => reps(n) && !all(sample.attrIndex(n)).numeric),
-      kept.filter(n => reps(n) && all(sample.attrIndex(n)).numeric))
+    Selected(categorical.filter(reps), numeric.filter(reps))
   }
 }

@@ -24,36 +24,30 @@ object Lca {
     * most selective agreements (rarest constants first), which keeps the
     * candidates within the k_cat-style size limit of Algorithm 1.
     *
-    * Values are compared as per-attribute integer codes, and each pair's
-    * agreement is counted at a node of a trie over (attribute, code) steps
-    * taken in attribute-name order, so a `Pattern` is built once per
+    * Values are compared as the sample table's dictionary codes, and each
+    * pair's agreement is counted at a node of a trie over (attribute, code)
+    * steps taken in attribute-name order, so a `Pattern` is built once per
     * distinct candidate rather than once per pair.
     */
   def candidates(sample: LocalSample, catAttrs: Seq[String], maxPreds: Int): Seq[Pattern.Pattern] = {
     val attrs = catAttrs.filter(sample.attrIndex(_) >= 0).toArray
     if (attrs.isEmpty || sample.size < 2) return Nil
     val k = attrs.length
-    val values = attrs.map(a => sample.categoricalValues(sample.attrIndex(a)))
-    // Per attribute: the distinct values, each row's value code (-1 for
-    // null) and how often each code occurs; value frequencies pick the
-    // rarest (most selective) agreements when truncating wide patterns.
-    val dicts = values.map(_.iterator.filter(_ != null).distinct.toArray)
-    val codes = values.zip(dicts).map { case (vs, d) =>
-      val code = d.zipWithIndex.toMap
-      vs.map(v => if (v == null) -1 else code(v)).toArray
-    }
-    val freq = codes.zip(dicts).map { case (cs, d) =>
-      val f = new Array[Int](d.length)
-      cs.foreach(c => if (c >= 0) f(c) += 1)
+    // Per attribute: each row's value code (-1 for null) and how often each
+    // code occurs in the sample; value frequencies pick the rarest (most
+    // selective) agreements when truncating wide patterns.
+    val codes = attrs.map(a => sample.codes(sample.attrIndex(a)))
+    val freq = Array.tabulate(k) { a =>
+      val f = new Array[Int](sample.table.strings(attrs(a)).length)
+      codes(a).foreach(c => if (c >= 0) f(c) += 1)
       f
     }
-    // Step s of the trie is value s - offset(a) of attribute a.
-    val offset = dicts.scanLeft(0)(_ + _.length)
     val nameRank = new Array[Int](k)
     attrs.indices.sortBy(attrs(_)).zipWithIndex.foreach { case (a, r) => nameRank(a) = r }
 
     // Node 0 is the root (the empty pattern); node v was reached from
-    // parent(v) by step(v) and was generated count(v) times.
+    // parent(v) by step(v) = code · k + attribute and was generated
+    // count(v) times.
     val child = mutable.LongMap.empty[Int]
     var parent = new Array[Int](1024)
     var step = new Array[Int](1024)
@@ -94,7 +88,7 @@ object Lca {
           var node = 0
           var t = 0
           while (t < m) {
-            val s = offset(agree(t)) + codes(agree(t))(i)
+            val s = codes(agree(t))(i) * k + agree(t)
             val from = node
             node = child.getOrElseUpdate((from.toLong << 32) | s, newNode(from, s))
             t += 1
@@ -107,12 +101,10 @@ object Lca {
       i += 1
     }
 
-    val attrOfStep = new Array[Int](offset(k))
-    (0 until k).foreach(a => java.util.Arrays.fill(attrOfStep, offset(a), offset(a + 1), a))
     def pattern(v: Int): Pattern.Pattern = {
       val preds = Iterator.iterate(v)(parent(_)).takeWhile(_ != 0).map { u =>
-        val a = attrOfStep(step(u))
-        Pattern.Pred(attrs(a), Pattern.OpEq, Pattern.CatV(dicts(a)(step(u) - offset(a))))
+        val a = step(u) % k
+        Pattern.Pred(attrs(a), Pattern.OpEq, Pattern.CatV(sample.table.strings(attrs(a))(step(u) / k)))
       }
       Pattern.Pattern.of(preds.toSeq: _*)
     }

@@ -84,16 +84,18 @@ object Metrics {
     /** Whether `attr` was collected as a number. */
     def isNumeric(attr: String): Boolean = column(attr).isInstanceOf[Table.NumCol]
 
-    /** `attr` in row `i` as [[repro.ml.LocalSample]] holds it: a `Double`
-      * (NaN for null) for a numeric column, the `String` (or null) otherwise.
-      */
-    def value(attr: String, i: Int): Any = column(attr).value(i)
-
     /** The numeric column `attr`, one `Double` per row, NaN for null. */
     def doubles(attr: String): Array[Double] = column(attr) match {
       case Table.NumCol(values, nulls) => Array.tabulate(rows)(i => if (nulls.get(i)) Double.NaN else values(i))
       case _ => throw new IllegalArgumentException(s"column $attr is not numeric")
     }
+
+    /** The string column `attr` as dictionary codes, one per row (-1 for
+      * null), and its dictionary: its distinct values in order of first
+      * appearance, code `c` for `strings(attr)(c)`. The table's own arrays.
+      */
+    def codes(attr: String): Array[Int] = strCol(attr).codes
+    def strings(attr: String): Array[String] = strCol(attr).strings
 
     /** Coverage of each of `patterns`, aligned with `patterns`. */
     def coverage(patterns: Seq[Pattern.Pattern]): Seq[Coverage] = patterns.map(coverageOf)
@@ -125,6 +127,11 @@ object Metrics {
     private def column(attr: String): Table.Col =
       columns.getOrElse(attr, throw new IllegalArgumentException(s"column $attr was not collected"))
 
+    private def strCol(attr: String): Table.StrCol = column(attr) match {
+      case c: Table.StrCol => c
+      case _ => throw new IllegalArgumentException(s"column $attr is numeric")
+    }
+
     private def matching(p: Pattern.Pred): BitSet = memo.getOrElseUpdate(p, column(p.attr).matching(p))
   }
 
@@ -142,25 +149,34 @@ object Metrics {
       val isT2 = raw.map(_.get(1) == "t2")
       val order = raw.indices.filter(i => isT2(i) || raw(i).get(1) == "t1").toArray
         .sortWith((a, b) => if (isT2(a) != isT2(b)) isT2(b) else ids(a) < ids(b))
-      val columns = attrs.zipWithIndex.map { case (a, j) =>
-        val values = order.map(i => raw(i).get(j + 3))
-        a -> (apt.schema(a).dataType match {
-          case _: NumericType => NumCol(values.map(v => if (v == null) 0.0 else v.asInstanceOf[Number].doubleValue),
-                                        mask(values.map(_ == null)))
-          case _ =>
-            val strings = values.map(v => if (v == null) null else v.toString)
-            val dict = strings.iterator.filter(_ != null).distinct.zipWithIndex.toMap
-            StrCol(strings.map(v => if (v == null) -1 else dict(v)), dict)
-        })
-      }.toMap
-      new Table(order.map(ids), order.count(!isT2(_)), columns,
-        mask(order.map(i => !raw(i).isNullAt(2) && raw(i).getBoolean(2))))
+      Table(order.map(ids), order.count(!isT2(_)),
+        attrs.zipWithIndex.map { case (a, j) => a -> order.map(i => raw(i).get(j + 3)) },
+        a => apt.schema(a).dataType.isInstanceOf[NumericType],
+        order.map(i => !raw(i).isNullAt(2) && raw(i).getBoolean(2)))
     }
+
+    /** A table of rows held on the driver: row `i` belongs to PT tuple
+      * `ptIds(i)`, rows `[0, t1Rows)` to t1 and the rest to t2, and each
+      * PT tuple's rows are adjacent. `columns` gives each attribute's
+      * values, one per row: a `Number` or null for an attribute that is
+      * `numeric`, for any other a value held as its string, or null.
+      */
+    def apply(ptIds: Array[Long], t1Rows: Int, columns: Seq[(String, Array[Any])],
+              numeric: String => Boolean, flags: Array[Boolean]): Table =
+      new Table(ptIds, t1Rows, columns.map { case (a, values) =>
+        a -> (if (numeric(a)) NumCol(values.map(v => if (v == null) 0.0 else v.asInstanceOf[Number].doubleValue),
+                                     mask(values.map(_ == null)))
+              else {
+                val strings = values.map(v => if (v == null) null else v.toString)
+                val dict = strings.filter(_ != null).distinct
+                val code = dict.zipWithIndex.toMap
+                StrCol(strings.map(v => if (v == null) -1 else code(v)), dict, code)
+              })
+      }.toMap, mask(flags))
 
     private sealed trait Col {
       def matching(p: Pattern.Pred): BitSet
       def subset(rows: Array[Int]): Col
-      def value(i: Int): Any
     }
 
     private final case class NumCol(values: Array[Double], nulls: BitSet) extends Col {
@@ -186,15 +202,9 @@ object Metrics {
         out
       }
       def subset(rows: Array[Int]): Col = NumCol(rows.map(values), mask(rows.map(nulls.get)))
-      def value(i: Int): Any = if (nulls.get(i)) Double.NaN else values(i)
     }
 
-    private final case class StrCol(codes: Array[Int], dict: Map[String, Int]) extends Col {
-      private lazy val strings: Array[String] = {
-        val s = new Array[String](dict.size)
-        dict.foreach { case (v, c) => s(c) = v }
-        s
-      }
+    private final case class StrCol(codes: Array[Int], strings: Array[String], dict: Map[String, Int]) extends Col {
       def matching(p: Pattern.Pred): BitSet = {
         val code = (p.op, p.value) match {
           case (Pattern.OpEq, Pattern.CatV(s)) => dict.getOrElse(s, -2)
@@ -208,8 +218,7 @@ object Metrics {
         }
         out
       }
-      def subset(rows: Array[Int]): Col = StrCol(rows.map(codes), dict)
-      def value(i: Int): Any = if (codes(i) < 0) null else strings(codes(i))
+      def subset(rows: Array[Int]): Col = StrCol(rows.map(codes), strings, dict)
     }
 
     /** Spark SQL's double ordering: -0.0 equals 0.0, NaN equals NaN and is

@@ -76,7 +76,13 @@ object Query {
     * (two-point) or contrast one against the rest (single-point). Tuples
     * are identified by their group-by values, keyed by prov_ column name.
     */
-  sealed trait UserQuestion
+  sealed trait UserQuestion {
+    /** t1, and t2 of a two-point question, by name. */
+    def tuples: Seq[(String, Map[String, String])] = this match {
+      case TwoPoint(t1, t2) => Seq("t1" -> t1, "t2" -> t2)
+      case SinglePoint(t1)  => Seq("t1" -> t1)
+    }
+  }
   final case class TwoPoint(t1: Map[String, String], t2: Map[String, String]) extends UserQuestion
   final case class SinglePoint(t1: Map[String, String]) extends UserQuestion
 
@@ -85,9 +91,12 @@ object Query {
     * `prov_<alias>_<attr>`, a synthetic `pt_id`, and a `grp` column that is
     * "t1" for rows in PT(Q, D, t1), "t2" for PT(Q, D, t2) (for a
     * single-point question every non-t1 row is "t2", mirroring the paper's
-    * reduction), and "other" otherwise.
+    * reduction), and "other" otherwise. A question with an empty tuple, a
+    * key that is not one of `q.groupCols`, or t1 = t2 is rejected with an
+    * `IllegalArgumentException`.
     */
   def provenanceTable(db: Schema.Database, q: QuerySpec, uq: UserQuestion): DataFrame = {
+    check(q, uq)
     val joined = joinedRelations(db, q)
     val grpCol = uq match {
       case TwoPoint(t1, t2) =>
@@ -103,6 +112,18 @@ object Query {
   /** PT rows relevant to the question only (grp ∈ {t1, t2}), cached-ready. */
   def questionProvenance(db: Schema.Database, q: QuerySpec, uq: UserQuestion): DataFrame =
     provenanceTable(db, q, uq).filter(col("grp").isin("t1", "t2"))
+
+  /** Rejects what would return an empty ranking: see [[provenanceTable]]. */
+  private def check(q: QuerySpec, uq: UserQuestion): Unit = {
+    for ((name, t) <- uq.tuples) {
+      require(t.nonEmpty, s"user question: $name is empty")
+      val bad = t.keys.filterNot(q.groupCols.contains)
+      require(bad.isEmpty,
+        s"user question: ${bad.mkString(", ")} in $name: not a group-by column of ${q.name} (${q.groupCols.mkString(", ")})")
+    }
+    require(uq.tuples.map(_._2).distinct.size == uq.tuples.size,
+      s"user question: t1 and t2 are the same tuple ${uq.tuples.head._2}")
+  }
 
   private def matches(tv: Map[String, String]): Column =
     tv.map { case (c, v) => col(c) === lit(v) }.reduce(_ && _)

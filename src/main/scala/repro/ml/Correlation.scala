@@ -23,7 +23,7 @@ object Correlation {
     }
   }
 
-  def pearson(xs: Vector[Double], ys: Vector[Double]): Double = {
+  def pearson(xs: collection.Seq[Double], ys: collection.Seq[Double]): Double = {
     val pairs = xs.zip(ys).filterNot { case (a, b) => a.isNaN || b.isNaN }
     val n = pairs.size
     if (n < 3) return 0.0
@@ -36,7 +36,7 @@ object Correlation {
   }
 
   /** Cramér's V from the contingency table of two categorical columns. */
-  def cramersV(xs: Vector[String], ys: Vector[String]): Double = {
+  def cramersV(xs: collection.Seq[String], ys: collection.Seq[String]): Double = {
     val pairs = xs.zip(ys).filter { case (a, b) => a != null && b != null }
     val n = pairs.size
     if (n < 3) return 0.0
@@ -59,7 +59,7 @@ object Correlation {
   /** Correlation ratio η: how much of the numeric variance the categories
     * explain — the standard mixed-pair association.
     */
-  def correlationRatio(cats: Vector[String], nums: Vector[Double]): Double = {
+  def correlationRatio(cats: collection.Seq[String], nums: collection.Seq[Double]): Double = {
     val pairs = cats.zip(nums).filter { case (c, v) => c != null && !v.isNaN }
     val n = pairs.size
     if (n < 3) return 0.0

@@ -3,25 +3,30 @@ package repro.ml
 import org.apache.spark.sql.DataFrame
 import repro.core.Metrics
 import scala.collection.mutable
+import scala.reflect.ClassTag
 import scala.util.hashing.MurmurHash3
 
-/** A small, driver-local sample of an APT, used by the sample-based steps
-  * of the mining pipeline (feature relevance, attribute clustering, LCA
-  * candidate generation). Numeric attributes are stored as Double (NaN for
-  * null), categoricals as String (null preserved).
+/** A small sample of an APT held in a [[Metrics.Table]], used by the
+  * sample-based steps of the mining pipeline (feature relevance, attribute
+  * clustering, LCA candidate generation): the table's rows `rows`, those of
+  * t1 first. Numeric attributes are read as Double (NaN for null),
+  * categoricals as the table's dictionary codes (-1 for null).
   */
-final case class LocalSample(
-    attrs: Vector[LocalSample.Attr],
-    rows: Vector[Array[Any]],
-    labels: Vector[Int], // 0 = provenance of t1, 1 = provenance of t2
-) {
+final case class LocalSample(table: Metrics.Table, attrs: Vector[LocalSample.Attr], rows: Vector[Int]) {
   def attrIndex(name: String): Int = attrs.indexWhere(_.name == name)
   def size: Int = rows.size
 
-  def numericValues(i: Int): Vector[Double] =
-    rows.map(r => r(i) match { case d: java.lang.Double => d.doubleValue; case _ => Double.NaN })
-  def categoricalValues(i: Int): Vector[String] =
-    rows.map(r => r(i) match { case s: String => s; case null => null; case x => x.toString })
+  /** 0 if sample row `k` belongs to the provenance of t1, 1 for t2. */
+  def label(k: Int): Int = if (rows(k) < table.t1Rows) 0 else 1
+
+  def numericValues(i: Int): Array[Double] = gather(table.doubles(attrs(i).name))
+  def codes(i: Int): Array[Int] = gather(table.codes(attrs(i).name))
+  def categoricalValues(i: Int): Array[String] = {
+    val strings = table.strings(attrs(i).name)
+    codes(i).map(c => if (c < 0) null else strings(c))
+  }
+
+  private def gather[T: ClassTag](column: Array[T]): Array[T] = rows.iterator.map(column(_)).toArray
 }
 
 object LocalSample {
@@ -36,29 +41,31 @@ object LocalSample {
     * fewer than min(cap/2, 30) rows the group's min(n, cap/2) lowest-ranked
     * rows are kept instead. Ranks depend on row values only, not on row
     * order (two rows tie only on a hash collision), so the sample does not
-    * depend on how the APT was partitioned.
+    * depend on how the APT was partitioned. A row's hash is `arrayHash` of
+    * its cells' `##`: of the `Double` (NaN for null), or the string (0 for null).
     */
   def draw(table: Metrics.Table, attrCols: Seq[String], fraction: Double, cap: Int, seed: Long): LocalSample = {
     val attrs = attrCols.toVector.map(a => Attr(a, table.isNumeric(a)))
+    val cellHashes: Array[Array[Int]] = attrs.toArray.map { a =>
+      if (a.numeric) table.doubles(a.name).map(_.##)
+      else { val strings = table.strings(a.name); table.codes(a.name).map(c => if (c < 0) 0 else strings(c).##) }
+    }
     val frac = math.min(1.0, math.max(fraction, 1e-6))
     val perGrp = math.max(1, cap / 2)
-    def group(from: Int, until: Int): Seq[Array[Any]] = {
-      val rows = (from until until).map(i => attrCols.map(table.value(_, i)).toArray)
+    def group(from: Int, until: Int): Seq[Int] = {
       val copies = mutable.HashMap.empty[Int, Int]
-      val rank = rows.map { r =>
-        val h = MurmurHash3.arrayHash(r, seed.toInt)
+      val rank = (from until until).map { i =>
+        val h = MurmurHash3.arrayHash(cellHashes.map(_(i)), seed.toInt)
         val ordinal = copies.getOrElse(h, 0)
         copies(h) = ordinal + 1
         MurmurHash3.finalizeHash(MurmurHash3.mix(h, ordinal), 1)
       }
-      val n = rows.size
+      val n = until - from
       val want = math.min(perGrp, math.ceil(frac * n).toInt)
       val take = if (want >= math.min(perGrp, 30)) want else math.min(perGrp, n)
-      rows.indices.sortBy(rank).take(take).map(rows)
+      rank.indices.sortBy(rank).take(take).map(from + _)
     }
-    val t1 = group(0, table.t1Rows)
-    val t2 = group(table.t1Rows, table.rows)
-    LocalSample(attrs, (t1 ++ t2).toVector, Vector.fill(t1.size)(0) ++ Vector.fill(t2.size)(1))
+    LocalSample(table, attrs, (group(0, table.t1Rows) ++ group(table.t1Rows, table.rows)).toVector)
   }
 
   /** Collects `apt` (a frame with `pt_id`, `grp` and `attrCols`) to the

@@ -51,16 +51,13 @@ class BaselineSpec extends SparkSpec {
   // ---- Explanation Tables -------------------------------------------------
 
   private def mkSample(rows: Seq[(String, Double, Int)]): LocalSample =
-    LocalSample(
-      Vector(LocalSample.Attr("cat", false), LocalSample.Attr("num", true)),
-      rows.map { case (c, n, _) => Array[Any](c, Double.box(n)) }.toVector,
-      rows.map(_._3).toVector)
+    TestData.sample(Seq("cat" -> false, "num" -> true), rows.map { case (c, n, label) => (Seq(c, n), label) })
 
   test("ET bucketizes numeric attributes into categorical bins") {
     val s = mkSample((1 to 40).map(i => ("c", i.toDouble, i % 2)))
     val b = ExplanationTables.bucketize(s)
     assert(b.attrs.forall(!_.numeric))
-    val bins = b.rows.map(_(1).toString).distinct
+    val bins = b.categoricalValues(1).distinct
     assert(bins.size > 1 && bins.forall(_.startsWith("bin")))
   }
   test("ET greedy summary finds the outcome-aligned pattern first") {

@@ -79,6 +79,12 @@ class CajadeSpec extends SparkSpec {
     assert(res.explanations.nonEmpty)
   }
 
+  test("explaining a tuple with no provenance fails and names the tuple") {
+    val uq = Nba.seasonQuestion(Nba.qNba4, "2015-16", "1999-00")
+    val e = intercept[IllegalArgumentException] { Cajade.explain(nba, Nba.qNba4, uq, fast) }
+    assert(e.getMessage.contains("t2 Map(prov_s_season_name -> 1999-00) has no provenance"))
+  }
+
   test("explain with λ_F1-samp < 1 leaves no RDD persisted") {
     val db = mimic // its cached tables count in `before`
     val uq = Mimic.question(Mimic.qMimicInsurance, "Medicare", "Private")

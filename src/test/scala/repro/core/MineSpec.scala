@@ -21,10 +21,7 @@ class MineSpec extends SparkSpec {
   // ---- LCA ----------------------------------------------------------------
 
   private def sampleOf(rows: Seq[(String, String)]): LocalSample =
-    LocalSample(
-      Vector(LocalSample.Attr("a", false), LocalSample.Attr("b", false)),
-      rows.map { case (x, y) => Array[Any](x, y) }.toVector,
-      Vector.fill(rows.size)(0))
+    TestData.sample(Seq("a" -> false, "b" -> false), rows.map { case (x, y) => (Seq(x, y), 0) })
 
   test("LCA keeps agreed constants and stars out disagreements") {
     val pats = Lca.candidates(sampleOf(Seq(("x", "1"), ("x", "2"))), Seq("a", "b"), 3)
@@ -41,17 +38,12 @@ class MineSpec extends SparkSpec {
     assert(pats.head == Pattern.of(Pred("a", OpEq, CatV("x")), Pred("b", OpEq, CatV("1"))))
   }
   test("LCA ignores null agreements") {
-    val s = LocalSample(
-      Vector(LocalSample.Attr("a", false)),
-      Vector(Array[Any](null), Array[Any](null)),
-      Vector(0, 0))
+    val s = TestData.sample(Seq("a" -> false), Seq((Seq(null), 0), (Seq(null), 0)))
     assert(Lca.candidates(s, Seq("a"), 3).isEmpty)
   }
   test("LCA truncates wide agreements to the rarest maxPreds constants") {
-    val s = LocalSample(
-      Vector(LocalSample.Attr("common", false), LocalSample.Attr("rare", false)),
-      Vector.fill(9)(Array[Any]("c", null)) :+ Array[Any]("c", "r") :+ Array[Any]("c", "r"),
-      Vector.fill(11)(0))
+    val s = TestData.sample(Seq("common" -> false, "rare" -> false),
+      Seq.fill(9)((Seq("c", null), 0)) ++ Seq.fill(2)((Seq("c", "r"), 0)))
     val pats = Lca.candidates(s, Seq("common", "rare"), 1)
     assert(pats.forall(_.size == 1))
     assert(pats.contains(Pattern.of(Pred("rare", OpEq, CatV("r")))))
@@ -67,7 +59,7 @@ class MineSpec extends SparkSpec {
     val maxPairs = 250000
     val idx = catAttrs.map(a => a -> sample.attrIndex(a)).filter(_._2 >= 0)
     if (idx.isEmpty || sample.size < 2) return Nil
-    val cols: Map[String, Vector[String]] = idx.map { case (a, i) => a -> sample.categoricalValues(i) }.toMap
+    val cols: Map[String, Vector[String]] = idx.map { case (a, i) => a -> sample.categoricalValues(i).toVector }.toMap
     val freq: Map[String, Map[String, Int]] = cols.map { case (a, vs) =>
       a -> vs.filter(_ != null).groupBy(identity).map { case (v, g) => v -> g.size }
     }
@@ -102,13 +94,12 @@ class MineSpec extends SparkSpec {
     // Attribute names out of name order, so that predicate order and the
     // truncation's tie-break (attribute order) differ.
     val names = Vector("m", "c", "x", "a", "k", "b")
-    def sample(n: Int, alphabet: Int, nullRate: Double): LocalSample = LocalSample(
-      names.map(LocalSample.Attr(_, numeric = false)),
-      Vector.fill(n)(Array.fill[Any](names.size) {
+    def sample(n: Int, alphabet: Int, nullRate: Double): LocalSample = TestData.sample(
+      names.map(_ -> false),
+      Seq.fill(n)((Seq.fill[Any](names.size) {
         // Skewed values, so that value frequencies differ and also tie.
         if (rnd.nextDouble() < nullRate) null else "v" + math.min(rnd.nextInt(alphabet), rnd.nextInt(alphabet))
-      }),
-      Vector.fill(n)(rnd.nextInt(2)))
+      }, rnd.nextInt(2))))
     val cases = Seq(
       // (rows, alphabet, null rate, maxPreds)
       (2, 2, 0.0, 3),
@@ -130,13 +121,10 @@ class MineSpec extends SparkSpec {
   // ---- feature selection --------------------------------------------------
 
   test("feature selection keeps informative attributes and drops constants") {
-    val rows = (0 until 300).map { i =>
+    val s = TestData.sample(Seq("sig" -> false, "konst" -> false, "num" -> true), (0 until 300).map { i =>
       val label = i % 2
-      Array[Any](if (label == 0) "A" else "B", "const", Double.box(if (label == 0) 1.0 else 9.0))
-    }
-    val s = LocalSample(
-      Vector(LocalSample.Attr("sig", false), LocalSample.Attr("konst", false), LocalSample.Attr("num", true)),
-      rows.toVector, Vector.tabulate(300)(_ % 2))
+      (Seq(if (label == 0) "A" else "B", "const", if (label == 0) 1.0 else 9.0), label)
+    })
     val sel = FeatureSelect.filterAttrs(s, Params(selAttrCount = 2))
     // `sig` and `num` are perfectly correlated (both determined by the
     // label), so clustering may keep only one representative of the pair —
@@ -150,14 +138,11 @@ class MineSpec extends SparkSpec {
     assert(sel.categorical.toSet == Set("a", "b"))
   }
   test("correlated attributes collapse to one representative") {
-    val rows = (0 until 300).map { i =>
+    val s = TestData.sample(Seq("age" -> true, "age2" -> true, "noise" -> true), (0 until 300).map { i =>
       val label = i % 2
       val v = if (label == 0) 1.0 else 9.0
-      Array[Any](Double.box(v), Double.box(v * 2), Double.box(scala.util.Random.nextGaussian()))
-    }
-    val s = LocalSample(
-      Vector(LocalSample.Attr("age", true), LocalSample.Attr("age2", true), LocalSample.Attr("noise", true)),
-      rows.toVector, Vector.tabulate(300)(_ % 2))
+      (Seq(v, v * 2, scala.util.Random.nextGaussian()), label)
+    })
     val sel = FeatureSelect.filterAttrs(s, Params(selAttrCount = 3))
     assert(!(sel.numeric.contains("age") && sel.numeric.contains("age2")))
   }

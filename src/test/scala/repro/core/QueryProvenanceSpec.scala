@@ -164,6 +164,24 @@ class QueryProvenanceSpec extends SparkSpec {
       Seq(Query.Filter("p", "player_name", "O'Brien")), Seq("p" -> "team"), Query.CountStar("cnt"))
     Oracle.assertEquivalent(Query.run(db, q), q.toSql, "player" -> player)
   }
+  // ---- malformed user questions ------------------------------------------
+
+  private def rejected(uq: Query.UserQuestion): String =
+    intercept[IllegalArgumentException] { Query.provenanceTable(nba, Nba.qNba4, uq) }.getMessage
+
+  test("a question key that is not a group-by column is rejected") {
+    val msg = rejected(Query.TwoPoint(Map("prov_s_season_type" -> "playoffs"), Map("prov_s_season_name" -> "2012-13")))
+    assert(msg.contains("prov_s_season_type"))
+  }
+  test("a question whose t1 equals t2 is rejected") {
+    val t = Map("prov_s_season_name" -> "2015-16")
+    assert(rejected(Query.TwoPoint(t, t)).contains("same tuple Map(prov_s_season_name -> 2015-16)"))
+  }
+  test("a question with an empty tuple is rejected") {
+    assert(rejected(Query.SinglePoint(Map.empty)).contains("t1 is empty"))
+    assert(rejected(Query.TwoPoint(Map("prov_s_season_name" -> "2015-16"), Map.empty)).contains("t2 is empty"))
+  }
+
   test("relOfAlias resolves and rejects unknown aliases") {
     assert(Nba.qNba4.relOfAlias("g") == "game")
     intercept[IllegalArgumentException] { Nba.qNba4.relOfAlias("zz") }

@@ -1,6 +1,6 @@
 package repro.ml
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestData}
 import scala.util.Random
 
 /** Tests for the ML substrates: the local random forest used for relevance
@@ -8,14 +8,10 @@ import scala.util.Random
   */
 class MlSpec extends SparkSpec {
 
-  private def mkSample(n: Int, seed: Long = 1)(row: (Random, Int) => (Array[Any], Int)): LocalSample = {
+  private def mkSample(n: Int, seed: Long = 1)(row: (Random, Int) => (Seq[Any], Int)): LocalSample = {
     val rnd = new Random(seed)
-    val built = (0 until n).map(i => row(rnd, i))
-    LocalSample(
-      Vector(LocalSample.Attr("num1", numeric = true), LocalSample.Attr("num2", numeric = true),
-             LocalSample.Attr("cat1", numeric = false), LocalSample.Attr("cat2", numeric = false)),
-      built.map(_._1).toVector,
-      built.map(_._2).toVector)
+    TestData.sample(Seq("num1" -> true, "num2" -> true, "cat1" -> false, "cat2" -> false),
+      (0 until n).map(row(rnd, _)))
   }
 
   /** num1 and cat1 determine the label; num2/cat2 are noise. */
@@ -23,8 +19,7 @@ class MlSpec extends SparkSpec {
     val label = i % 2
     val num1 = if (label == 0) 10 + rnd.nextGaussian() else 20 + rnd.nextGaussian()
     val cat1 = if (label == 0) "lo" else "hi"
-    (Array[Any](Double.box(num1), Double.box(rnd.nextGaussian()), cat1,
-      if (rnd.nextBoolean()) "x" else "y"), label)
+    (Seq(num1, rnd.nextGaussian(), cat1, if (rnd.nextBoolean()) "x" else "y"), label)
   }
 
   test("random forest ranks informative attributes above noise") {
@@ -37,17 +32,17 @@ class MlSpec extends SparkSpec {
     assert(math.abs(imp.values.sum - 1.0) < 1e-6)
   }
   test("constant labels yield zero importance everywhere") {
-    val s = informative.copy(labels = Vector.fill(informative.size)(0))
+    val s = informative.copy(rows = informative.rows.filter(_ < informative.table.t1Rows))
     val imp = RandomForest.featureImportance(s)
     assert(imp.values.forall(_ == 0.0))
   }
   test("empty sample is handled") {
-    val s = informative.copy(rows = Vector.empty, labels = Vector.empty)
+    val s = informative.copy(rows = Vector.empty)
     assert(RandomForest.featureImportance(s).values.forall(_ == 0.0))
   }
   test("forest is deterministic in the seed") {
-    val a = RandomForest.featureImportance(informative, RandomForest.Config(seed = 9))
-    val b = RandomForest.featureImportance(informative, RandomForest.Config(seed = 9))
+    val a = RandomForest.featureImportance(informative, seed = 9)
+    val b = RandomForest.featureImportance(informative, seed = 9)
     assert(a == b)
   }
 
@@ -94,10 +89,8 @@ class MlSpec extends SparkSpec {
   test("clustering groups the birth-date/age style duplicates") {
     val rnd = new Random(11)
     val base = Vector.fill(300)(rnd.nextGaussian() * 10 + 40)
-    val rows = base.map(v => Array[Any](Double.box(v), Double.box(100 - v), Double.box(rnd.nextGaussian())))
-    val s = LocalSample(
-      Vector(LocalSample.Attr("age", true), LocalSample.Attr("birth", true), LocalSample.Attr("noise", true)),
-      rows, Vector.fill(300)(0))
+    val s = TestData.sample(Seq("age" -> true, "birth" -> true, "noise" -> true),
+      base.map(v => (Seq(v, 100 - v, rnd.nextGaussian()), 0)))
     val clusters = Correlation.cluster(s, Seq(0, 1, 2), 0.9)
     assert(clusters.size == 2)
     assert(clusters.exists(c => c.toSet == Set(0, 1)))
@@ -116,14 +109,14 @@ class MlSpec extends SparkSpec {
     val s = LocalSample.collect(df, Seq("num", "cat"), 1.0, 100)
     assert(s.size <= 100)
     assert(s.attrs == Vector(LocalSample.Attr("num", true), LocalSample.Attr("cat", false)))
-    assert(s.labels.toSet == Set(0, 1))
+    assert(s.rows.indices.map(s.label).toSet == Set(0, 1))
   }
   test("collect stratifies across both question groups") {
     import spark.implicits._
     val df = ((1 to 300).map(i => (i.toLong, "t1", i.toDouble)) ++ (1 to 10).map(i => (1000L + i, "t2", i.toDouble)))
       .toDF("pt_id", "grp", "num")
     val s = LocalSample.collect(df, Seq("num"), 1.0, 100)
-    assert(s.labels.count(_ == 1) == 10) // the whole minority group
-    assert(s.labels.count(_ == 0) == 50)
+    assert(s.rows.indices.count(s.label(_) == 1) == 10) // the whole minority group
+    assert(s.rows.indices.count(s.label(_) == 0) == 50)
   }
 }
