@@ -26,28 +26,37 @@ object Apt {
     */
   def materialize(db: Schema.Database, q: Query.QuerySpec, pt: DataFrame, jg: Schema.JoinGraph): DataFrame = {
     var joinedNodes = Set(0)
-    var df = pt
-    var pending = jg.edges
-    while (pending.nonEmpty) {
-      val idx = pending.indexWhere(e => joinedNodes(e.fromNode) || joinedNodes(e.toNode))
-      require(idx >= 0, s"join graph not connected: ${jg.describe}")
-      val e = pending(idx)
-      pending = pending.patch(idx, Nil, 1)
+    edgeOrder(jg).foldLeft(pt) { (df, e) =>
       val cond = edgeCondition(q, e)
-      if (joinedNodes(e.fromNode) && joinedNodes(e.toNode)) {
-        df = df.filter(cond)
-      } else {
+      if (joinedNodes(e.fromNode) && joinedNodes(e.toNode)) df.filter(cond)
+      else {
         // Exactly one endpoint is new; by construction of ExtendJG the new
         // endpoint is always `toNode` (PT is never new).
         val newNode = if (joinedNodes(e.fromNode)) e.toNode else e.fromNode
-        val rel = jg.relOf(newNode)
-        val raw = db(rel)
+        val raw = db(jg.relOf(newNode))
         val renamed = raw.columns.foldLeft(raw)((d, c) => d.withColumnRenamed(c, ctxPrefix(newNode) + c))
-        df = df.join(renamed, cond, "inner")
         joinedNodes += newNode
+        df.join(renamed, cond, "inner")
       }
     }
-    df
+  }
+
+  /** Ω's edges in an order that keeps the joined nodes connected: each
+    * edge touches the PT or a node of an edge before it, the first such
+    * edge of those left coming next. Enumerated graphs are in this order
+    * already.
+    */
+  def edgeOrder(jg: Schema.JoinGraph): Seq[Schema.JGEdge] = {
+    var joined = Set(0)
+    var pending = jg.edges
+    Seq.fill(jg.edges.size) {
+      val idx = pending.indexWhere(e => joined(e.fromNode) || joined(e.toNode))
+      require(idx >= 0, s"join graph not connected: ${jg.describe}")
+      val e = pending(idx)
+      pending = pending.patch(idx, Nil, 1)
+      joined ++= Seq(e.fromNode, e.toNode)
+      e
+    }
   }
 
   /** The Spark join condition for one join-graph edge. */
@@ -70,12 +79,15 @@ object Apt {
     * than summarize them (the paper's explanations only ever use
     * human-readable attributes).
     */
-  def patternColumns(apt: DataFrame, q: Query.QuerySpec): Seq[String] = {
+  def patternColumns(apt: DataFrame, q: Query.QuerySpec): Seq[String] = patternColumns(apt.columns.toSeq, q)
+
+  /** [[patternColumns]] among the APT columns `columns`, in their order. */
+  def patternColumns(columns: Seq[String], q: Query.QuerySpec): Seq[String] = {
     val banned = Set("pt_id", "grp") ++ q.groupCols
     val bannedBase: Set[String] = q.groupBy.map(_._2).toSet
-    apt.columns.filterNot { c =>
+    columns.filterNot { c =>
       banned(c) || c.endsWith("_id") || bannedBase(baseName(q, c))
-    }.toSeq
+    }
   }
 
   /** Strips the `prov_<alias>_` / `a<i>_` prefix off an APT column. */

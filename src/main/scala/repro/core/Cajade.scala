@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-
 /** CaJaDE end-to-end driver: enumerate join graphs for the user's query,
   * mine each, and return a globally F-score-ranked list of explanations
   * (paper Sections 3–4, "Ranking Results").
@@ -25,28 +23,24 @@ object Cajade {
         .take(n)
   }
 
-  /** Runs the full pipeline for a query and user question. A question
-    * whose t1 or t2 has no provenance is rejected, as
-    * [[Query.provenanceTable]] rejects a malformed one.
+  /** Runs the full pipeline for a query and user question. The PT and
+    * every APT are built on the driver ([[Join.Apts]]) from one collect per
+    * relation the call reads. A question whose t1 or t2 has no provenance
+    * is rejected, as [[Query.provenanceTable]] rejects a malformed one.
     */
   def explain(db: Schema.Database, q: Query.QuerySpec, uq: Query.UserQuestion,
               params: Params = Params.default,
               timer: Mine.StepTimer = new Mine.StepTimer): Result = {
-    val pt: DataFrame = Query.questionProvenance(db, q, uq).cache()
-    try {
-      val sizes = Mine.questionSizes(pt, params)
-      for ((t, n) <- Seq("t1" -> sizes.n1, "t2" -> sizes.n2) if n == 0)
-        throw new IllegalArgumentException(
-          s"user question: $t ${uq.tuples.toMap.getOrElse(t, "(every other output tuple)")} has no provenance")
-      val ptRows = sizes.n1 + sizes.n2
-      val graphs = timer.time("JG Enum.") {
-        Enumerate.enumerate(db, q, params, ptRows)
-      }
-      val perGraph = graphs.map { jg =>
-        jg -> Mine.mineJoinGraph(db, q, pt, jg, params, timer, Some(sizes))
-      }
-      val all = perGraph.flatMap(_._2.explanations).sortBy(-_.fscore)
-      Result(all, perGraph, graphs.size, timer)
-    } finally pt.unpersist()
+    val apts = timer.time("Materialize APTs") { Join.Apts(db, q, uq, params) }
+    val sizes = apts.sizes
+    for ((t, n) <- Seq("t1" -> sizes.n1, "t2" -> sizes.n2) if n == 0)
+      throw new IllegalArgumentException(
+        s"user question: $t ${uq.tuples.toMap.getOrElse(t, "(every other output tuple)")} has no provenance")
+    val graphs = timer.time("JG Enum.") {
+      Enumerate.enumerate(db, q, params, sizes.n1 + sizes.n2)
+    }
+    val perGraph = graphs.map(jg => jg -> Mine.mineJoinGraph(apts, jg, params, timer))
+    val all = perGraph.flatMap(_._2.explanations).sortBy(-_.fscore)
+    Result(all, perGraph, graphs.size, timer)
   }
 }

@@ -16,21 +16,24 @@ object Enumerate {
   /** Cheap cardinality model replacing the DBMS optimizer estimate: the
     * expected APT size is |PT| times the fan-out of every node-adding join,
     * where fan-out of joining into relation S on attributes A is
-    * |S| / ndv(S, A). Relation sizes and NDVs are computed once and cached.
+    * |S| / ndv(S, A). Relation sizes and NDVs are computed once and cached;
+    * `enumerate` uses the one model of each database, `db.costModel`.
     */
   final class CostModel(db: Database) {
     private val rowCounts = scala.collection.mutable.Map.empty[String, Long]
     private val ndvCache = scala.collection.mutable.Map.empty[(String, Seq[String]), Long]
 
-    def rows(rel: String): Long =
+    def rows(rel: String): Long = synchronized {
       rowCounts.getOrElseUpdate(rel, db(rel).count())
+    }
 
-    def ndv(rel: String, attrs: Seq[String]): Long =
+    def ndv(rel: String, attrs: Seq[String]): Long = synchronized {
       ndvCache.getOrElseUpdate((rel, attrs.sorted), {
         import org.apache.spark.sql.functions.{approx_count_distinct, concat_ws, col}
         val c = db(rel).agg(approx_count_distinct(concat_ws("§", attrs.map(col): _*))).head().getLong(0)
         math.max(1L, c)
       })
+    }
 
     /** Estimated APT rows for `jg` given |PT| = ptRows. */
     def estimate(jg: JoinGraph, ptRows: Long): Double = {
@@ -104,6 +107,15 @@ object Enumerate {
       pk.forall(joinedAttrs)
     }
 
+  /** The relations that can label a context node of a graph [[enumerate]]
+    * returns: those within λ_#edges schema-graph hops of a query relation,
+    * or none when `maxJoinGraphs` leaves room for Ω₀ only.
+    */
+  def contextRelations(sg: SchemaGraph, q: Query.QuerySpec, params: Params): Set[String] =
+    if (params.maxJoinGraphs <= 1) Set.empty
+    else Iterator.iterate(q.tables.map(_._1).toSet)(_.flatMap(r => sg.adjacent(r).map(_._1)))
+      .slice(1, params.maxEdges + 1).foldLeft(Set.empty[String])(_ ++ _)
+
   /** Enumerates all distinct, valid join graphs with 1..λ_#edges edges,
     * capped at `params.maxJoinGraphs` (cheapest first within a level).
     * Ω₀ (PT alone) is always first — provenance-only explanations come
@@ -111,7 +123,7 @@ object Enumerate {
     */
   def enumerate(db: Database, q: Query.QuerySpec, params: Params, ptRows: Long): Seq[JoinGraph] = {
     val sg = db.schemaGraph
-    val cost = new CostModel(db)
+    val cost = db.costModel
     val seen = scala.collection.mutable.Set.empty[String]
     val out = scala.collection.mutable.ArrayBuffer[JoinGraph](JoinGraph.empty)
     var prev: Seq[JoinGraph] = Seq(JoinGraph.empty)

@@ -16,13 +16,19 @@ import scala.collection.mutable
 object Lca {
 
   /** Sample-row pairs examined at most per call. */
-  private val MaxPairs = 250000
+  private val MaxPairs = 250000L
 
   /** Generates distinct candidate patterns from the sample over the given
     * categorical attributes, most frequently generated first. Patterns with
     * more than `maxPreds` predicates are truncated to their `maxPreds`
     * most selective agreements (rarest constants first), which keeps the
     * candidates within the k_cat-style size limit of Algorithm 1.
+    *
+    * When the sample has more than `MaxPairs` pairs, every pair among m of
+    * its rows is examined, m(m−1)/2 ≤ `MaxPairs` as large as can be: the
+    * first ⌈m·nₜ/n⌉ of the nₜ rows of each question tuple, which the
+    * sample holds in its seeded rank order. So t2's agreements are
+    * generated as t1's are.
     *
     * Values are compared as the sample table's dictionary codes, and each
     * pair's agreement is counted at a node of a trie over (attribute, code)
@@ -65,13 +71,23 @@ object Lca {
       nodes - 1
     }
 
-    val n = sample.size
+    val rows: Array[Int] = {
+      val n = sample.size
+      if (n.toLong * (n - 1) / 2 <= MaxPairs) Array.range(0, n)
+      else {
+        val m = Iterator.from(2).takeWhile(m => m.toLong * (m - 1) / 2 <= MaxPairs).max
+        val n1 = (0 until n).count(sample.label(_) == 0)
+        def first(nt: Int) = math.ceil(m.toDouble * nt / n).toInt
+        Array.range(0, first(n1)) ++ Array.range(n1, n1 + first(n - n1))
+      }
+    }
     val agree = new Array[Int](k)
-    var pairs = 0
-    var i = 0
-    while (i < n && pairs < MaxPairs) {
-      var j = i + 1
-      while (j < n && pairs < MaxPairs) {
+    var x = 0
+    while (x < rows.length) {
+      val i = rows(x)
+      var y = x + 1
+      while (y < rows.length) {
+        val j = rows(y)
         var m = 0
         var a = 0
         while (a < k) {
@@ -95,10 +111,9 @@ object Lca {
           }
           count(node) += 1
         }
-        pairs += 1
-        j += 1
+        y += 1
       }
-      i += 1
+      x += 1
     }
 
     def pattern(v: Int): Pattern.Pattern = {

@@ -1,23 +1,24 @@
 package repro.core
 
 import java.util.BitSet
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.NumericType
 import scala.collection.mutable
+import scala.util.hashing.MurmurHash3
 
 /** Quality metrics of explanation patterns (paper Definition 7).
   *
   * A PT tuple t' of output t is *covered* by (Ω, Φ) if at least one APT row
   * derived from t' matches Φ. Coverage is therefore counted per distinct
   * `pt_id`, never per APT row. It is counted on the driver by [[Table]]:
-  * the APT is collected once, every predicate becomes one row bitset, a
-  * pattern is the AND of its predicates' bitsets, and the covered PT tuples
-  * are the distinct `pt_id` runs among the set rows. Spark runs in local
-  * mode, so a collected APT shares the driver's heap with Spark's own
-  * cache, and mining evaluates hundreds of patterns on APTs of at most ~9k
-  * rows on every benchmark workload: the cost of a Spark aggregation per
-  * batch of patterns was job latency, not data.
+  * the APT is held there column by column, every predicate becomes one row
+  * bitset, a pattern is the AND of its predicates' bitsets, and the covered
+  * PT tuples are the distinct `pt_id` runs among the set rows. Spark runs
+  * in local mode, so a driver-side APT shares the driver's heap with
+  * Spark's own cache, and mining evaluates hundreds of patterns on APTs of
+  * at most ~9k rows on every benchmark workload: the cost of a Spark
+  * aggregation per batch of patterns was job latency, not data.
   */
 object Metrics {
 
@@ -54,24 +55,29 @@ object Metrics {
 
   /** An APT held on the driver, column by column.
     *
-    * Rows are sorted by (`grp`, `pt_id`): rows `[0, t1Rows)` belong to t1,
-    * the rest to t2, and the rows of one PT tuple are adjacent. Numeric
-    * columns are stored as `Double` (Spark compares an `Int` column with a
-    * `Double` constant after the same widening), strings as dictionary
-    * codes; both with nulls marked. The bitset of each predicate is
-    * computed once and memoized.
+    * Rows are sorted by `grp`: rows `[0, t1Rows)` belong to t1, the rest to
+    * t2, and the rows of one PT tuple are adjacent. Each row carries the
+    * `pt_id` of its PT tuple and its λ_F1-samp flag. Numeric columns are
+    * stored as `Double` (Spark compares an `Int` column with a `Double`
+    * constant after the same widening), strings as dictionary codes; both
+    * with nulls marked. The bitset of each predicate is computed once and
+    * memoized.
     */
-  final class Table private (
-      ptIds: Array[Long],
+  final class Table private[core] (
+      private[core] val ptIds: Array[Long],
       val t1Rows: Int,
-      columns: Map[String, Table.Col],
+      columns: Vector[(String, Table.Col)],
       flags: BitSet,
   ) {
     def rows: Int = ptIds.length
+    private val byName: Map[String, Table.Col] = columns.toMap
     private val memo = mutable.HashMap.empty[Pattern.Pred, BitSet]
 
-    /** The rows whose flag was true at [[Table.collect]]; this same table
-      * when every row is flagged.
+    /** The column names, in order. */
+    def names: Seq[String] = columns.map(_._1)
+
+    /** The rows whose λ_F1-samp flag is set; this same table when every
+      * row is flagged.
       */
     lazy val flagged: Table =
       if (flags.cardinality == rows) this
@@ -81,21 +87,55 @@ object Metrics {
           columns.map { case (a, c) => a -> c.subset(keep) }, all(keep.length))
       }
 
+    /** This table with the columns `attrs` only, in that order; the rows
+      * and their values are shared.
+      */
+    def project(attrs: Seq[String]): Table = new Table(ptIds, t1Rows, attrs.map(a => a -> column(a)).toVector, flags)
+
+    /** The table whose row r is row `rows(r)` of this one, with the columns
+      * `more` (one value per new row) after its own. `rows` is ascending,
+      * so t1's rows stay first and each PT tuple's rows adjacent.
+      */
+    private[core] def gather(rows: Array[Int], more: Seq[(String, Table.Col)]): Table =
+      new Table(rows.map(ptIds), rows.count(_ < t1Rows),
+        columns.map { case (a, c) => a -> c.subset(rows) } ++ more, mask(rows.map(flags.get)))
+
+    /** This table with `flags` as its λ_F1-samp flags. */
+    private[core] def withFlags(flags: BitSet): Table = new Table(ptIds, t1Rows, columns, flags)
+
     /** Whether `attr` was collected as a number. */
-    def isNumeric(attr: String): Boolean = column(attr).isInstanceOf[Table.NumCol]
+    def isNumeric(attr: String): Boolean = column(attr).numeric
 
     /** The numeric column `attr`, one `Double` per row, NaN for null. */
     def doubles(attr: String): Array[Double] = column(attr) match {
-      case Table.NumCol(values, nulls) => Array.tabulate(rows)(i => if (nulls.get(i)) Double.NaN else values(i))
+      case c: Table.NumCol => Array.tabulate(rows)(c.double)
       case _ => throw new IllegalArgumentException(s"column $attr is not numeric")
     }
 
     /** The string column `attr` as dictionary codes, one per row (-1 for
-      * null), and its dictionary: its distinct values in order of first
-      * appearance, code `c` for `strings(attr)(c)`. The table's own arrays.
+      * null), and its dictionary: code `c` stands for `strings(attr)(c)`.
+      * The dictionary may hold values that no row has. The table's own
+      * arrays.
       */
     def codes(attr: String): Array[Int] = strCol(attr).codes
     def strings(attr: String): Array[String] = strCol(attr).strings
+
+    /** A seeded MurmurHash3 of each row of `[from, until)` over `attrs`:
+      * `arrayHash` of its cells' `##` (of the `Double`, NaN for null, or of
+      * the string, 0 for null), mixed with the row's ordinal among the
+      * earlier rows of the range with the same hash. Identical rows hash
+      * apart, and the multiset of hashes does not depend on row order.
+      */
+    def rowHashes(attrs: Seq[String], seed: Int, from: Int, until: Int): Array[Int] = {
+      val cols = attrs.toArray.map(column)
+      val copies = mutable.HashMap.empty[Int, Int]
+      Array.tabulate(until - from) { k =>
+        val h = MurmurHash3.arrayHash(cols.map(_.hash(from + k)), seed)
+        val ordinal = copies.getOrElse(h, 0)
+        copies(h) = ordinal + 1
+        MurmurHash3.finalizeHash(MurmurHash3.mix(h, ordinal), 1)
+      }
+    }
 
     /** Coverage of each of `patterns`, aligned with `patterns`. */
     def coverage(patterns: Seq[Pattern.Pattern]): Seq[Coverage] = patterns.map(coverageOf)
@@ -124,8 +164,8 @@ object Metrics {
       Coverage(c1, c2)
     }
 
-    private def column(attr: String): Table.Col =
-      columns.getOrElse(attr, throw new IllegalArgumentException(s"column $attr was not collected"))
+    private[core] def column(attr: String): Table.Col =
+      byName.getOrElse(attr, throw new IllegalArgumentException(s"column $attr was not collected"))
 
     private def strCol(attr: String): Table.StrCol = column(attr) match {
       case c: Table.StrCol => c
@@ -137,22 +177,20 @@ object Metrics {
 
   object Table {
 
-    /** Collects `pt_id`, `grp`, `attrs` and the boolean `flag` of every row
-      * of `apt` whose `grp` is t1 or t2, in one Spark job, and keeps them
-      * as columns. Rows with a false or null flag are left out of
-      * [[Table.flagged]] only. A column that is neither numeric nor a
-      * string is held as the strings of its values.
+    /** Collects `pt_id`, `grp` and `attrs` of every row of `apt` whose
+      * `grp` is t1 or t2, in one Spark job, and keeps them as columns, every
+      * row flagged. A column that is neither numeric nor a string is held
+      * as the strings of its values.
       */
-    def collect(apt: DataFrame, attrs: Seq[String], flag: Column = lit(true)): Table = {
-      val raw = apt.select(Seq(col("pt_id"), col("grp"), flag) ++ attrs.map(col): _*).collect()
+    def collect(apt: DataFrame, attrs: Seq[String]): Table = {
+      val raw = apt.select(Seq(col("pt_id"), col("grp")) ++ attrs.map(col): _*).collect()
       val ids = raw.map(_.getAs[Number](0).longValue)
       val isT2 = raw.map(_.get(1) == "t2")
       val order = raw.indices.filter(i => isT2(i) || raw(i).get(1) == "t1").toArray
         .sortWith((a, b) => if (isT2(a) != isT2(b)) isT2(b) else ids(a) < ids(b))
       Table(order.map(ids), order.count(!isT2(_)),
-        attrs.zipWithIndex.map { case (a, j) => a -> order.map(i => raw(i).get(j + 3)) },
-        a => apt.schema(a).dataType.isInstanceOf[NumericType],
-        order.map(i => !raw(i).isNullAt(2) && raw(i).getBoolean(2)))
+        attrs.zipWithIndex.map { case (a, j) => a -> order.map(i => raw(i).get(j + 2)) },
+        a => apt.schema(a).dataType.isInstanceOf[NumericType], Array.fill(order.length)(true))
     }
 
     /** A table of rows held on the driver: row `i` belongs to PT tuple
@@ -163,23 +201,45 @@ object Metrics {
       */
     def apply(ptIds: Array[Long], t1Rows: Int, columns: Seq[(String, Array[Any])],
               numeric: String => Boolean, flags: Array[Boolean]): Table =
-      new Table(ptIds, t1Rows, columns.map { case (a, values) =>
-        a -> (if (numeric(a)) NumCol(values.map(v => if (v == null) 0.0 else v.asInstanceOf[Number].doubleValue),
-                                     mask(values.map(_ == null)))
-              else {
-                val strings = values.map(v => if (v == null) null else v.toString)
-                val dict = strings.filter(_ != null).distinct
-                val code = dict.zipWithIndex.toMap
-                StrCol(strings.map(v => if (v == null) -1 else code(v)), dict, code)
-              })
-      }.toMap, mask(flags))
+      new Table(ptIds, t1Rows, columns.map { case (a, values) => a -> Col(values, numeric(a)) }.toVector, mask(flags))
 
-    private sealed trait Col {
+    /** One column of driver-side rows. */
+    private[core] sealed trait Col {
+      def numeric: Boolean = isInstanceOf[NumCol]
       def matching(p: Pattern.Pred): BitSet
       def subset(rows: Array[Int]): Col
+      /** Row `i`'s `##`, as [[Table.rowHashes]] reads it. */
+      def hash(i: Int): Int
+      /** Row `i`'s value as a join key, compared by `equals`: null for null
+        * (a null key matches nothing), the bits of the `Double` for a number,
+        * with −0.0 read as 0.0 and every NaN alike, as Spark normalizes
+        * floating-point join keys, and the string for a string.
+        */
+      def key(i: Int): Any
+      /** The constant `v` of a query filter or question, as compared with
+        * this column.
+        */
+      def constant(v: String): Pattern.Value
+      /** Row `i`'s value as a Spark literal: a `Double` or a string. */
+      def literal(i: Int): Any
     }
 
-    private final case class NumCol(values: Array[Double], nulls: BitSet) extends Col {
+    private[core] object Col {
+      /** A column of `values`: `Number`s (or null) when `numeric`, else
+        * values held as their strings.
+        */
+      def apply(values: Array[Any], numeric: Boolean): Col =
+        if (numeric) NumCol(values.map(v => if (v == null) 0.0 else v.asInstanceOf[Number].doubleValue), mask(values.map(_ == null)))
+        else {
+          val strings = values.map(v => if (v == null) null else v.toString)
+          val dict = strings.filter(_ != null).distinct
+          val code = dict.zipWithIndex.toMap
+          StrCol(strings.map(v => if (v == null) -1 else code(v)), dict, code)
+        }
+    }
+
+    private[core] final case class NumCol(values: Array[Double], nulls: BitSet) extends Col {
+      def double(i: Int): Double = if (nulls.get(i)) Double.NaN else values(i)
       def matching(p: Pattern.Pred): BitSet = {
         val c = p.value match {
           case Pattern.NumV(d) => d
@@ -202,9 +262,14 @@ object Metrics {
         out
       }
       def subset(rows: Array[Int]): Col = NumCol(rows.map(values), mask(rows.map(nulls.get)))
+      def hash(i: Int): Int = double(i).##
+      def key(i: Int): Any =
+        if (nulls.get(i)) null else java.lang.Double.doubleToLongBits(values(i) + 0.0)
+      def constant(v: String): Pattern.Value = Pattern.NumV(v.toDouble)
+      def literal(i: Int): Any = values(i)
     }
 
-    private final case class StrCol(codes: Array[Int], strings: Array[String], dict: Map[String, Int]) extends Col {
+    private[core] final case class StrCol(codes: Array[Int], strings: Array[String], dict: Map[String, Int]) extends Col {
       def matching(p: Pattern.Pred): BitSet = {
         val code = (p.op, p.value) match {
           case (Pattern.OpEq, Pattern.CatV(s)) => dict.getOrElse(s, -2)
@@ -219,6 +284,10 @@ object Metrics {
         out
       }
       def subset(rows: Array[Int]): Col = StrCol(rows.map(codes), strings, dict)
+      def hash(i: Int): Int = if (codes(i) < 0) 0 else strings(codes(i)).##
+      def key(i: Int): Any = if (codes(i) < 0) null else strings(codes(i))
+      def constant(v: String): Pattern.Value = Pattern.CatV(v)
+      def literal(i: Int): Any = strings(codes(i))
     }
 
     /** Spark SQL's double ordering: -0.0 equals 0.0, NaN equals NaN and is
@@ -228,7 +297,7 @@ object Metrics {
       if (x == y) 0 else java.lang.Double.compare(x, y)
   }
 
-  private def mask(bits: Array[Boolean]): BitSet = {
+  private[core] def mask(bits: Array[Boolean]): BitSet = {
     val b = new BitSet(bits.length)
     bits.indices.foreach(i => if (bits(i)) b.set(i))
     b

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 import repro.ml.LocalSample
 
 /** MineAPT (paper Algorithm 1): top-k pattern mining over one augmented
@@ -10,12 +9,12 @@ import repro.ml.LocalSample
   * Phases: (i) sample + feature selection, (ii) LCA candidates over
   * categorical attributes, (iii) recall filtering with the monotonicity
   * pruning of Proposition 3.1, (iv) numeric refinement over domain
-  * fragments, (v) diverse top-k by wscore. The APT's pattern columns are
-  * collected once into a driver-side `Metrics.Table`, the only Spark
-  * action per join graph; the sample, the fragments and every candidate
-  * evaluation are computed from it. Candidates are evaluated on its
-  * pt_id-sampled rows (λ_F1-samp), and the returned top-k is re-scored
-  * exactly on all rows so reported supports are precise.
+  * fragments, (v) diverse top-k by wscore. The APT is a driver-side
+  * `Metrics.Table` built by [[Join.Apts]]; the sample, the fragments and
+  * every candidate evaluation are computed from it without a Spark job.
+  * Candidates are evaluated on the rows of the PT tuples in the λ_F1-samp
+  * sample, and the returned top-k is re-scored exactly on all rows so
+  * reported supports are precise.
   */
 object Mine {
 
@@ -54,40 +53,29 @@ object Mine {
     */
   final case class QuestionSizes(n1: Long, n2: Long, s1: Long, s2: Long)
 
-  /** The sizes of the question's provenance `pt`, counted on the driver from
-    * one collect of its `pt_id`, `grp` and λ_F1-samp flag.
-    */
-  def questionSizes(pt: DataFrame, params: Params): QuestionSizes = {
-    val t = Metrics.Table.collect(pt, Nil, f1Flag(params))
-    val Seq(all) = t.coverage(Seq(Pattern.Pattern.empty))
-    val Seq(sampled) = t.flagged.coverage(Seq(Pattern.Pattern.empty))
-    QuestionSizes(all.cov1, all.cov2, sampled.cov1, sampled.cov2)
-  }
-
-  /** Whether a row belongs to the λ_F1-samp sample: a deterministic hash of
-    * its `pt_id`, so the APT rows of one PT tuple are kept or dropped
-    * together and per-tuple coverage stays well defined.
-    */
-  private def f1Flag(params: Params): Column =
-    if (params.f1SampleRate >= 1.0) lit(true)
-    else pmod(xxhash64(col("pt_id"), lit(params.seed)), lit(10000)) < lit((params.f1SampleRate * 10000).toInt)
-
   /** Mines the top-k patterns for join graph `jg` over the provenance `pt`
-    * of the user question (a frame with prov_ columns, `pt_id`, `grp`).
-    * The APT is computed by one Spark action, a collect of all its pattern
-    * columns: one job on Ω₀, plus one per shuffle stage of the joins under
-    * adaptive query execution. Every later step runs on the driver.
-    * `sizes` are computed from `pt` when not given.
+    * of the user question (a frame with prov_ columns, `pt_id`, `grp`):
+    * collects `pt` and the relations of `jg` and mines the APT built from
+    * them on the driver, as `explain` does.
     */
   def mineJoinGraph(db: Schema.Database, q: Query.QuerySpec, pt: DataFrame,
                     jg: Schema.JoinGraph, params: Params,
-                    timer: StepTimer = new StepTimer,
-                    sizes: Option[QuestionSizes] = None): MineResult = {
-    val QuestionSizes(n1, n2, s1, s2) = sizes.getOrElse(timer.time("Sampling for F1") { questionSizes(pt, params) })
+                    timer: StepTimer = new StepTimer): MineResult = {
+    val apts = timer.time("Materialize APTs") { Join.Apts(db, q, pt, params) }
+    mineJoinGraph(apts, jg, params, timer)
+  }
+
+  /** Mines the top-k patterns for join graph `jg` over the question's APTs
+    * `apts`. The APT is built on the driver from its parent graph's
+    * ([[Join.Apts]]) and projected onto its pattern columns; every later
+    * step works on that table.
+    */
+  def mineJoinGraph(apts: Join.Apts, jg: Schema.JoinGraph, params: Params, timer: StepTimer): MineResult = {
+    val QuestionSizes(n1, n2, s1, s2) = apts.sizes
     val (table, attrCols) = timer.time("Materialize APTs") {
-      val apt = Apt.materialize(db, q, pt, jg)
-      val cols = Apt.patternColumns(apt, q)
-      (Metrics.Table.collect(apt, cols, f1Flag(params)), cols)
+      val apt = apts(jg)
+      val cols = Apt.patternColumns(apt.names, apts.q)
+      (apt.project(cols), cols)
     }
     val stats = AptStats(table.rows.toLong, attrCols.size)
     if (n1 == 0 || n2 == 0) return MineResult(Nil, stats)

@@ -114,7 +114,7 @@ object Query {
     provenanceTable(db, q, uq).filter(col("grp").isin("t1", "t2"))
 
   /** Rejects what would return an empty ranking: see [[provenanceTable]]. */
-  private def check(q: QuerySpec, uq: UserQuestion): Unit = {
+  private[core] def check(q: QuerySpec, uq: UserQuestion): Unit = {
     for ((name, t) <- uq.tuples) {
       require(t.nonEmpty, s"user question: $name is empty")
       val bad = t.keys.filterNot(q.groupCols.contains)

@@ -114,5 +114,10 @@ object Schema {
   /** A database instance: named relations plus the schema graph. */
   final case class Database(tables: Map[String, DataFrame], schemaGraph: SchemaGraph) {
     def apply(name: String): DataFrame = tables(name)
+
+    /** The statistics join-graph enumeration estimates with, gathered once
+      * per instance: a second `explain` on it runs no statistics job.
+      */
+    lazy val costModel: Enumerate.CostModel = new Enumerate.CostModel(this)
   }
 }

@@ -43,13 +43,13 @@ object Tables {
   /** The questions of Tables 4 and 6 (query, t1, t2, description); Figure 12
     * reuses them as its workload.
     */
-  private val nbaCases = Seq(
+  private[repro] val nbaCases = Seq(
     (Nba.qNba1, "2015-16", "2016-17", "Green avg points 2015-16 vs 2016-17"),
     (Nba.qNba2, "2013-14", "2014-15", "GSW avg assists 2013-14 vs 2014-15"),
     (Nba.qNba3, "2009-10", "2010-11", "LeBron avg points 2009-10 vs 2010-11"),
     (Nba.qNba4, "2012-13", "2016-17", "GSW wins 2012-13 vs 2016-17"),
     (Nba.qNba5, "2013-14", "2014-15", "Butler avg points 2013-14 vs 2014-15"))
-  private val mimicCases = Seq(
+  private[repro] val mimicCases = Seq(
     (Mimic.qMimic1, "2", "13", "death rate: chapter 2 vs 13"),
     (Mimic.qMimicInsurance, "Medicare", "Medicaid", "death rate: Medicare vs Medicaid"),
     (Mimic.qMimic3, "0-1", "x>8", "icustays: los 0-1 vs >8"),

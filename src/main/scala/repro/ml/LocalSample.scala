@@ -2,9 +2,7 @@ package repro.ml
 
 import org.apache.spark.sql.DataFrame
 import repro.core.Metrics
-import scala.collection.mutable
 import scala.reflect.ClassTag
-import scala.util.hashing.MurmurHash3
 
 /** A small sample of an APT held in a [[Metrics.Table]], used by the
   * sample-based steps of the mining pipeline (feature relevance, attribute
@@ -41,29 +39,19 @@ object LocalSample {
     * fewer than min(cap/2, 30) rows the group's min(n, cap/2) lowest-ranked
     * rows are kept instead. Ranks depend on row values only, not on row
     * order (two rows tie only on a hash collision), so the sample does not
-    * depend on how the APT was partitioned. A row's hash is `arrayHash` of
-    * its cells' `##`: of the `Double` (NaN for null), or the string (0 for null).
+    * depend on how the APT was partitioned. A row's rank is its
+    * [[Metrics.Table.rowHashes]] hash.
     */
   def draw(table: Metrics.Table, attrCols: Seq[String], fraction: Double, cap: Int, seed: Long): LocalSample = {
     val attrs = attrCols.toVector.map(a => Attr(a, table.isNumeric(a)))
-    val cellHashes: Array[Array[Int]] = attrs.toArray.map { a =>
-      if (a.numeric) table.doubles(a.name).map(_.##)
-      else { val strings = table.strings(a.name); table.codes(a.name).map(c => if (c < 0) 0 else strings(c).##) }
-    }
     val frac = math.min(1.0, math.max(fraction, 1e-6))
     val perGrp = math.max(1, cap / 2)
     def group(from: Int, until: Int): Seq[Int] = {
-      val copies = mutable.HashMap.empty[Int, Int]
-      val rank = (from until until).map { i =>
-        val h = MurmurHash3.arrayHash(cellHashes.map(_(i)), seed.toInt)
-        val ordinal = copies.getOrElse(h, 0)
-        copies(h) = ordinal + 1
-        MurmurHash3.finalizeHash(MurmurHash3.mix(h, ordinal), 1)
-      }
+      val rank = table.rowHashes(attrCols, seed.toInt, from, until)
       val n = until - from
       val want = math.min(perGrp, math.ceil(frac * n).toInt)
       val take = if (want >= math.min(perGrp, 30)) want else math.min(perGrp, n)
-      rank.indices.sortBy(rank).take(take).map(from + _)
+      rank.indices.sortBy(rank(_)).take(take).map(from + _)
     }
     LocalSample(table, attrs, (group(0, table.t1Rows) ++ group(table.t1Rows, table.rows)).toVector)
   }

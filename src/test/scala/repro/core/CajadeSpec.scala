@@ -42,25 +42,37 @@ class CajadeSpec extends SparkSpec {
   }
 
   test("UQ₁ top-k and supports do not depend on the shuffle partition count") {
-    // `pt_id` comes from monotonically_increasing_id, so its values follow
-    // the partition layout. At λ_F1-samp = 1 only its identity matters; at
-    // λ_F1-samp < 1 the F1 sample is a hash of it and stays layout-dependent
-    // until `pt_id` is derived from the PT row's base-relation keys.
+    // The collected relations' row order, and so the PT's row order and
+    // `pt_id`s, follow the partition layout. Coverage depends only on
+    // `pt_id` identity, and the λ_F1-samp sample on a hash of each PT
+    // tuple's values, so the answer must not.
     val uq = Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13")
     val params = fast.copy(maxEdges = 1, maxJoinGraphs = 3)
-    def topAt(partitions: Int) = {
+    def topAt(db: Schema.Database, params: Params, partitions: Int) = {
       val before = spark.conf.get("spark.sql.shuffle.partitions")
       spark.conf.set("spark.sql.shuffle.partitions", partitions.toLong)
       try {
-        val res = Cajade.explain(nba, Nba.qNba4, uq, params)
+        val res = Cajade.explain(db, Nba.qNba4, uq, params)
         assert(res.joinGraphCount > 1)
         res.topExplanations(10).map(e => (e.jg.describe, e.pattern.render, e.quality))
       } finally spark.conf.set("spark.sql.shuffle.partitions", before)
     }
-    val Seq(one, four, many) = Seq(1, 4, 64).map(topAt)
+    val Seq(one, four, many) = Seq(1, 4, 64).map(topAt(nba, params, _))
     assert(one.nonEmpty)
     assert(four == one)
     assert(many == one)
+
+    // λ_F1-samp = 0.3 and λ_#edges = 2, also over input tables
+    // repartitioned to seeded random partition counts.
+    val sampled = fast.copy(f1SampleRate = 0.3)
+    val rnd = new scala.util.Random(23)
+    def repartitioned = nba.copy(tables = nba.tables.map { case (n, df) => n -> df.repartition(1 + rnd.nextInt(24)) })
+    val reference = topAt(nba, sampled, 4)
+    assert(reference.nonEmpty)
+    for (partitions <- Seq(1, 4, 64)) {
+      assert(topAt(nba, sampled, partitions) == reference)
+      assert(topAt(repartitioned, sampled, partitions) == reference)
+    }
   }
 
   test("MIMIC UQ₂ (Medicare vs Private) surfaces emergency/age context") {

@@ -53,7 +53,9 @@ class MineSpec extends SparkSpec {
   }
 
   /** The pairwise LCA loop as first written, one `Pattern` per sample
-    * pair: the reference the coded kernel must reproduce exactly.
+    * pair: the reference the coded kernel must reproduce exactly. Over
+    * 250 000 pairs, it pairs the first ⌈m·nₜ/n⌉ rows of each tuple, for
+    * the largest m with m(m−1)/2 ≤ 250 000.
     */
   private def referenceCandidates(sample: LocalSample, catAttrs: Seq[String], maxPreds: Int): Seq[Pattern] = {
     val maxPairs = 250000
@@ -63,28 +65,28 @@ class MineSpec extends SparkSpec {
     val freq: Map[String, Map[String, Int]] = cols.map { case (a, vs) =>
       a -> vs.filter(_ != null).groupBy(identity).map { case (v, g) => v -> g.size }
     }
-    val n = sample.size
-    val counts = scala.collection.mutable.Map.empty[Pattern, Int]
-    var pairs = 0
-    var i = 0
-    while (i < n && pairs < maxPairs) {
-      var j = i + 1
-      while (j < n && pairs < maxPairs) {
-        val preds = idx.flatMap { case (a, _) =>
-          val vi = cols(a)(i); val vj = cols(a)(j)
-          if (vi != null && vi == vj) Some(Pred(a, OpEq, CatV(vi))) else None
-        }
-        if (preds.nonEmpty) {
-          val kept =
-            if (preds.size <= maxPreds) preds
-            else preds.sortBy(p => freq(p.attr).getOrElse(p.value.render, 0)).take(maxPreds)
-          val pat = Pattern.of(kept: _*)
-          counts(pat) = counts.getOrElse(pat, 0) + 1
-        }
-        pairs += 1
-        j += 1
+    val all = 0 until sample.size
+    val rows =
+      if (all.size * (all.size - 1) / 2 <= maxPairs) all
+      else {
+        val m = (2 to all.size).filter(m => m * (m - 1) / 2 <= maxPairs).max
+        val (t1, t2) = all.partition(sample.label(_) == 0)
+        Seq(t1, t2).flatMap(t => t.take(math.ceil(m.toDouble * t.size / all.size).toInt))
       }
-      i += 1
+    val counts = scala.collection.mutable.Map.empty[Pattern, Int]
+    for (x <- rows.indices; y <- x + 1 until rows.size) {
+      val (i, j) = (rows(x), rows(y))
+      val preds = idx.flatMap { case (a, _) =>
+        val vi = cols(a)(i); val vj = cols(a)(j)
+        if (vi != null && vi == vj) Some(Pred(a, OpEq, CatV(vi))) else None
+      }
+      if (preds.nonEmpty) {
+        val kept =
+          if (preds.size <= maxPreds) preds
+          else preds.sortBy(p => freq(p.attr).getOrElse(p.value.render, 0)).take(maxPreds)
+        val pat = Pattern.of(kept: _*)
+        counts(pat) = counts.getOrElse(pat, 0) + 1
+      }
     }
     counts.toSeq.sortBy { case (p, c) => (-c, p.render) }.map(_._1)
   }
@@ -116,6 +118,15 @@ class MineSpec extends SparkSpec {
       assert(expected.nonEmpty)
       assert(Lca.candidates(s, attrs, maxPreds) == expected, s"rows=$n maxPreds=$maxPreds")
     }
+  }
+
+  test("LCA over more than 250 000 pairs still pairs t2's rows") {
+    // 400 t1 rows with no agreement, then 500 t2 rows that all agree on
+    // `c`: walked in sample order, the pairs of t1's rows alone exhaust
+    // the cap before any two t2 rows meet.
+    val s = TestData.sample(Seq("c" -> false),
+      (0 until 400).map(i => (Seq[Any](s"u$i"), 0)) ++ Seq.fill(500)((Seq[Any]("z"), 1)))
+    assert(Lca.candidates(s, Seq("c"), 3) == Seq(Pattern.of(Pred("c", OpEq, CatV("z")))))
   }
 
   // ---- feature selection --------------------------------------------------
