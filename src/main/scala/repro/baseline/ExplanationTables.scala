@@ -1,6 +1,5 @@
 package repro.baseline
 
-import org.apache.spark.sql.DataFrame
 import repro.core.{Metrics, Pattern}
 import repro.ml.LocalSample
 
@@ -109,10 +108,11 @@ object ExplanationTables {
   }
 
   /** Runs ET over an APT with a given sample size, returning the summary
-    * and the wall-clock seconds — the quantity Figure 11 compares.
+    * and the wall-clock seconds of summarizing it — the quantity Figure 11
+    * compares.
     */
-  def run(apt: DataFrame, attrCols: Seq[String], sampleSize: Int, k: Int = 20): (Seq[EtPattern], Double) = {
-    val sample = LocalSample.collect(apt, attrCols, 1.0, sampleSize)
+  def run(apt: Metrics.Table, attrCols: Seq[String], sampleSize: Int, k: Int = 20): (Seq[EtPattern], Double) = {
+    val sample = LocalSample.draw(apt, attrCols, 1.0, sampleSize, seed = 7)
     val t0 = System.nanoTime()
     val out = summarize(sample, k)
     (out, (System.nanoTime() - t0) / 1e9)

@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.baseline.{Cape, ExplanationTables}
 import repro.core._
 import repro.core.Schema._
@@ -8,15 +8,18 @@ import repro.data.{Mimic, Nba}
 import repro.study.UserStudy
 
 /** Experiment harness: one function per reproduced evaluation table.
-  * Each returns formatted lines; benches assert on + print them and
-  * `repro.jobs.Main` prints them by name. Paper-vs-measured numbers are
-  * recorded in EXPERIMENTS.md.
+  * Each returns formatted lines; `repro.jobs.Main.experiments` names them,
+  * and `bench/` runs every one and checks its lines. Like `explain`, they
+  * build PTs and APTs on the driver ([[Join.Apts]]). Paper-vs-measured
+  * numbers are recorded in EXPERIMENTS.md.
   */
 object Tables {
 
-  /** Parameters used by the benchmark runs (λ values of paper Table 1,
-    * with λ_#edges=2 — our enumeration at 3 is feasible but slow on a
-    * single local node; see EXPERIMENTS.md).
+  /** Parameters used by the benchmark runs: the λ values of paper Table 1,
+    * but λ_#edges = 2 and a cap of 16 join graphs. Table 1's λ_#edges = 3
+    * costs 3–6 s per Table 4 question at SF 0.1; it waits until enumeration
+    * records the join graphs that its cap drops, which it does silently
+    * today (EXPERIMENTS.md, Table 4).
     */
   val benchParams: Params = Params(
     maxEdges = 2, maxJoinGraphs = 16, topK = 10,
@@ -33,12 +36,6 @@ object Tables {
     */
   private val uq1 = Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13")
   private val uq2 = Mimic.question(Mimic.qMimicInsurance, "Medicare", "Private")
-
-  /** `db` with every table marked for caching. */
-  private def cached(db: Database): Database = {
-    db.tables.values.foreach(_.cache())
-    db
-  }
 
   /** The questions of Tables 4 and 6 (query, t1, t2, description); Figure 12
     * reuses them as its workload.
@@ -58,7 +55,7 @@ object Tables {
 
   /** Paper Table 4 — NBA queries, user questions, and top explanations. */
   def table4Nba(spark: SparkSession, sf: Double = 0.1, params: Params = benchParams): Seq[String] = {
-    val db = cached(Nba.generate(spark, sf))
+    val db = Nba.generate(spark, sf)
     header("Table 4: NBA user questions and top-3 explanations") ++
       nbaCases.flatMap { case (q, s1, s2, desc) =>
         val res = Cajade.explain(db, q, Nba.seasonQuestion(q, s1, s2), params)
@@ -69,7 +66,7 @@ object Tables {
 
   /** Paper Table 6 — MIMIC queries, user questions, and top explanations. */
   def table6Mimic(spark: SparkSession, sf: Double = 0.1, params: Params = benchParams): Seq[String] = {
-    val db = cached(Mimic.generate(spark, sf))
+    val db = Mimic.generate(spark, sf)
     header("Table 6: MIMIC user questions and top-3 explanations") ++
       mimicCases.zipWithIndex.flatMap { case ((q, s1, s2, desc), i) =>
         val res = Cajade.explain(db, q, Mimic.question(q, s1, s2), params)
@@ -85,8 +82,8 @@ object Tables {
   def figure7Breakdown(spark: SparkSession, dataset: String, sf: Double = 0.1,
                        maxEdges: Int = 1): Seq[String] = {
     val (db, q, uq) =
-      if (dataset == "NBA") (cached(Nba.generate(spark, sf)), Nba.qNba4, uq1)
-      else (cached(Mimic.generate(spark, sf)), Mimic.qMimicInsurance, uq2)
+      if (dataset == "NBA") (Nba.generate(spark, sf), Nba.qNba4, uq1)
+      else (Mimic.generate(spark, sf), Mimic.qMimicInsurance, uq2)
     val configs: Seq[(String, Params)] = Seq(
       "fs-0.1" -> benchParams.copy(maxEdges = maxEdges, f1SampleRate = 0.1),
       "fs-0.3" -> benchParams.copy(maxEdges = maxEdges, f1SampleRate = 0.3),
@@ -107,73 +104,69 @@ object Tables {
       Seq((f"${"total"}%18s" +: timers.map { case (_, t) => f"${t.totals.values.sum}%18.2f" }).mkString)
   }
 
+  /** Figure 10a's Ω₂ over Q1 and Ω₄ over Q_mimic4. */
+  private[repro] val omega2 = JoinGraph(
+    Vector(JGNode(0, "PT"), JGNode(1, "player_salary"), JGNode(2, "player")),
+    Vector(
+      JGEdge(0, 1, Some("s"), JoinCond(Seq("season_id" -> "season_id"))),
+      JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
+  private[repro] val omega4 = JoinGraph(
+    Vector(JGNode(0, "PT"), JGNode(1, "patients_admit_info"), JGNode(2, "patients")),
+    Vector(
+      JGEdge(0, 1, Some("a"), JoinCond(Seq("hadm_id" -> "hadm_id", "subject_id" -> "subject_id"))),
+      JGEdge(1, 2, None, JoinCond(Seq("subject_id" -> "subject_id")))))
+
   /** Paper Figure 10a — APT row/attribute statistics for the four sampling
     * study join graphs (Ω₁, Ω₂ over Q1; Ω₃, Ω₄ over Q_mimic4).
     */
   def figure10aAptStats(spark: SparkSession, sf: Double = 0.1): Seq[String] = {
-    val nba = cached(Nba.generate(spark, sf))
-    val mimic = cached(Mimic.generate(spark, sf))
-    val omega2 = JoinGraph(
-      Vector(JGNode(0, "PT"), JGNode(1, "player_salary"), JGNode(2, "player")),
-      Vector(
-        JGEdge(0, 1, Some("s"), JoinCond(Seq("season_id" -> "season_id"))),
-        JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
-    val omega4 = JoinGraph(
-      Vector(JGNode(0, "PT"), JGNode(1, "patients_admit_info"), JGNode(2, "patients")),
-      Vector(
-        JGEdge(0, 1, Some("a"), JoinCond(Seq("hadm_id" -> "hadm_id", "subject_id" -> "subject_id"))),
-        JGEdge(1, 2, None, JoinCond(Seq("subject_id" -> "subject_id")))))
+    val nba = Join.Apts(Nba.generate(spark, sf), Nba.qNba4, uq1, benchParams)
+    val mimic = Join.Apts(Mimic.generate(spark, sf), Mimic.qMimicInsurance, uq2, benchParams)
     val rows = Seq(
-      ("Ω1", "PT (Q1)", nba, Nba.qNba4, uq1, JoinGraph.empty),
-      ("Ω2", "PT-player_salary-player (Q1)", nba, Nba.qNba4, uq1, omega2),
-      ("Ω3", "PT (Qmimic4)", mimic, Mimic.qMimicInsurance, uq2, JoinGraph.empty),
-      ("Ω4", "PT-patients_admit_info-patients (Qmimic4)", mimic, Mimic.qMimicInsurance, uq2, omega4))
+      ("Ω1", "PT (Q1)", nba, JoinGraph.empty),
+      ("Ω2", "PT-player_salary-player (Q1)", nba, omega2),
+      ("Ω3", "PT (Qmimic4)", mimic, JoinGraph.empty),
+      ("Ω4", "PT-patients_admit_info-patients (Qmimic4)", mimic, omega4))
     header("Figure 10a: APT sizes of the sampling-study join graphs") ++
       Seq(f"${"jg"}%4s ${"structure"}%-46s ${"rows"}%10s ${"#attrs"}%8s") ++
-      rows.map { case (name, desc, db, q, uq, jg) =>
-        val pt = Query.questionProvenance(db, q, uq).cache()
-        val apt = Apt.materialize(db, q, pt, jg)
-        val line = f"$name%4s $desc%-46s ${apt.count()}%10d ${Apt.patternColumns(apt, q).size}%8d"
-        pt.unpersist()
-        line
+      rows.map { case (name, desc, apts, jg) =>
+        val apt = apts(jg)
+        f"$name%4s $desc%-46s ${apt.rows}%10d ${Apt.patternColumns(apt.names, apts.q).size}%8d"
       }
   }
 
   /** Paper Figure 11/Section 5.5 — CaJaDE pattern mining vs Explanation
-    * Tables runtime over one APT while growing the ET sample size.
+    * Tables runtime over one APT while growing the ET sample size. The
+    * CaJaDE time excludes building the APT, as ET's excludes drawing its
+    * sample.
     */
-  def etComparison(spark: SparkSession, sf: Double = 0.1): Seq[String] =
-    onPgsPlayerApt(spark, sf) { (db, pt, apt, attrs) =>
-      val t0 = System.nanoTime()
-      Mine.mineJoinGraph(db, Nba.qNba4, pt, Nba.pgsPlayerJg, benchParams.copy(f1SampleRate = 0.3))
-      val cajadeSec = (System.nanoTime() - t0) / 1e9
+  def etComparison(spark: SparkSession, sf: Double = 0.1): Seq[String] = {
+    val (apts, apt, attrs) = pgsPlayerApt(spark, sf)
+    val t0 = System.nanoTime()
+    Mine.mineJoinGraph(apts, Nba.pgsPlayerJg, benchParams, new Mine.StepTimer)
+    val cajadeSec = (System.nanoTime() - t0) / 1e9
 
-      val rows = Seq(16, 32, 64, 128, 256, 512).map { n =>
-        val (_, sec) = ExplanationTables.run(apt, attrs, n, k = 10)
-        f"  ET sample=$n%4d: $sec%8.2f s"
-      }
-      header("Figure 11: ET runtime vs sample size (one APT, PT-player_game_stats-player)") ++
-        Seq(f"  CaJaDE full mining on this APT: $cajadeSec%8.2f s") ++ rows
+    val rows = Seq(16, 32, 64, 128, 256, 512).map { n =>
+      val (_, sec) = ExplanationTables.run(apt, attrs, n, k = 10)
+      f"  ET sample=$n%4d: $sec%8.2f s"
     }
+    header("Figure 11: ET runtime vs sample size (one APT, PT-player_game_stats-player)") ++
+      Seq(f"  CaJaDE full mining on this APT: $cajadeSec%8.2f s") ++ rows
+  }
 
-  /** Runs `f` on the set-up Figure 11 and Table 10 share: the database,
-    * UQ₁'s PT, its PT-player_game_stats-player APT (both cached) and the
-    * APT's pattern attributes other than ids and dates. Frees both frames.
+  /** The set-up Figure 11 and Table 10 share: UQ₁'s APTs, built as
+    * `explain` builds them, the PT-player_game_stats-player APT among them,
+    * and that APT's pattern attributes other than ids and dates.
     */
-  private def onPgsPlayerApt[T](spark: SparkSession, sf: Double)(
-      f: (Database, DataFrame, DataFrame, Seq[String]) => T): T = {
-    val db = cached(Nba.generate(spark, sf))
-    val pt = Query.questionProvenance(db, Nba.qNba4, uq1).cache()
-    val apt = Apt.materialize(db, Nba.qNba4, pt, Nba.pgsPlayerJg).cache()
-    apt.count()
-    val attrs = Apt.patternColumns(apt, Nba.qNba4).filterNot(c => c.endsWith("_id") || c.endsWith("game_date"))
-    try f(db, pt, apt, attrs)
-    finally { apt.unpersist(); pt.unpersist() }
+  private def pgsPlayerApt(spark: SparkSession, sf: Double): (Join.Apts, Metrics.Table, Seq[String]) = {
+    val apts = Join.Apts(Nba.generate(spark, sf), Nba.qNba4, uq1, benchParams)
+    val apt = apts(Nba.pgsPlayerJg)
+    (apts, apt, Apt.patternColumns(apt.names, apts.q).filterNot(c => c.endsWith("_id") || c.endsWith("game_date")))
   }
 
   /** Paper Figure 13 — CAPE's explanations for the two NBA questions. */
   def figure13Cape(spark: SparkSession, sf: Double = 0.1): Seq[String] = {
-    val db = cached(Nba.generate(spark, sf))
+    val db = Nba.generate(spark, sf)
     val wins = Cape.series(Query.run(db, Nba.qNba4), "prov_s_season_name", "win")
     val lebron = Cape.series(Query.run(db, Nba.qNba3), "prov_s_season_name", "avg_pts")
     val cape1 = Cape.explain(wins, "2015-16", Cape.High, 3)
@@ -189,7 +182,7 @@ object Tables {
     * metrics and (simulated) rater statistics.
     */
   def table8Study(spark: SparkSession, sf: Double = 0.1): (Seq[UserStudy.Rated], Seq[String]) = {
-    val qualities = UserStudy.evaluate(cached(Nba.generate(spark, sf)), Nba.qNba4, uq1)
+    val qualities = UserStudy.evaluate(Nba.generate(spark, sf), Nba.qNba4, uq1)
     val rated = UserStudy.simulateRatings(qualities)
     val lines = header("Table 8: study explanations — simulated ratings and quality measures") ++
       Seq(f"${"expl"}%8s ${"avg"}%6s ${"stdev"}%6s ${"fans"}%6s ${"other"}%6s ${"F"}%6s ${"rec"}%6s ${"prec"}%6s  pattern") ++
@@ -222,21 +215,21 @@ object Tables {
   /** Paper Table 10 (Appendix A.1) — top-20 patterns from ET on the
     * PT-player_game_stats-player APT with feature-selection prefiltering.
     */
-  def table10EtPatterns(spark: SparkSession, sf: Double = 0.1): Seq[String] =
-    onPgsPlayerApt(spark, sf) { (_, _, apt, attrs) =>
-      val (pats, sec) = ExplanationTables.run(apt, attrs, sampleSize = 128, k = 20)
-      header("Table 10: first 20 ET patterns (numeric attrs pre-bucketized)") ++
-        Seq(f"  (ET runtime: $sec%.2f s, ${pats.size} patterns)") ++
-        pats.zipWithIndex.map { case (p, i) => f"  ${i + 1}%2d. ${p.pattern.render}  gain=${p.gain}%.4f" }
-    }
+  def table10EtPatterns(spark: SparkSession, sf: Double = 0.1): Seq[String] = {
+    val (_, apt, attrs) = pgsPlayerApt(spark, sf)
+    val (pats, sec) = ExplanationTables.run(apt, attrs, sampleSize = 128, k = 20)
+    header("Table 10: first 20 ET patterns (numeric attrs pre-bucketized)") ++
+      Seq(f"  (ET runtime: $sec%.2f s, ${pats.size} patterns)") ++
+      pats.zipWithIndex.map { case (p, i) => f"  ${i + 1}%2d. ${p.pattern.render}  gain=${p.gain}%.4f" }
+  }
 
   /** Paper Figure 12 — runtime per workload query (compact λ_#edges=1
     * rendition; the paper's point is that runtime tracks the number of
     * join graphs).
     */
   def figure12VaryingQueries(spark: SparkSession, sf: Double = 0.1): Seq[String] = {
-    val nba = cached(Nba.generate(spark, sf))
-    val mimic = cached(Mimic.generate(spark, sf))
+    val nba = Nba.generate(spark, sf)
+    val mimic = Mimic.generate(spark, sf)
     val p = benchParams.copy(maxEdges = 1)
     // Q_w9 (Table 6's Medicare vs Private question) is not timed.
     val cases: Seq[(String, Database, Query.QuerySpec, Query.UserQuestion)] =

@@ -1,6 +1,5 @@
 package repro.study
 
-import org.apache.spark.sql.DataFrame
 import repro.core._
 import repro.core.Schema._
 import repro.data.Nba.pgsPlayerJg
@@ -42,7 +41,7 @@ object UserStudy {
   private def pat(ps: Pred*): Pattern.Pattern = Pattern.Pattern.of(ps: _*)
 
   /** Join graph PT(g) – team_game_stats(1) for Q_nba4. */
-  private val tgsJg = JoinGraph(
+  private[repro] val tgsJg = JoinGraph(
     Vector(JGNode(0, "PT"), JGNode(1, "team_game_stats")),
     Vector(JGEdge(0, 1, Some("g"), JoinCond(Seq("game_date" -> "game_date", "home_id" -> "home_id")))))
 
@@ -73,22 +72,16 @@ object UserStudy {
       pat(Pred("a2_player_name", OpEq, CatV("Marreese Speights")), Pred("a1_points", OpGe, NumV(18))), "t1"),
   )
 
-  /** Computes exact quality metrics for every study explanation, sharing
-    * one APT materialization per distinct join graph.
+  /** Computes exact quality metrics for every study explanation over the
+    * APTs `explain` builds for the question.
     */
   def evaluate(db: Database, q: Query.QuerySpec, uq: Query.UserQuestion,
                expls: Seq[StudyExplanation] = explanations): Seq[(StudyExplanation, Metrics.Quality)] = {
-    val pt: DataFrame = Query.questionProvenance(db, q, uq).cache()
-    try {
-      val (n1, n2) = Metrics.provSizes(pt)
-      expls.groupBy(_.jg.canonical).values.toSeq.flatMap { grp =>
-        val apt = Apt.materialize(db, q, pt, grp.head.jg).cache()
-        try {
-          val cov = Metrics.coverage(apt, grp.map(_.pattern))
-          grp.zip(cov).map { case (e, c) => (e, Metrics.quality(c, n1, n2, e.primary)) }
-        } finally apt.unpersist()
-      }.sortBy(r => expls.indexWhere(_.label == r._1.label))
-    } finally pt.unpersist()
+    val apts = Join.Apts(db, q, uq, Params.default)
+    expls.map { e =>
+      val Seq(c) = apts(e.jg).coverage(Seq(e.pattern))
+      e -> Metrics.quality(c, apts.sizes.n1, apts.sizes.n2, e.primary)
+    }
   }
 
   /** Simulated rater panel: `nRaters` raters (first `nFans` with domain

@@ -1,8 +1,7 @@
 package repro.baseline
 
 import repro.{SparkSpec, TestData}
-import repro.core.{Apt, Query}
-import repro.core.Schema._
+import repro.core.{Apt, Join, Params, Query}
 import repro.data.Nba
 import repro.ml.LocalSample
 
@@ -77,19 +76,12 @@ class BaselineSpec extends SparkSpec {
     assert(out.size <= 2)
   }
   test("ET runtime grows with sample size (the Figure 11 effect)") {
-    val nba = TestData.nba(spark)
     val q = Nba.qNba4
-    val pt = Query.questionProvenance(nba, q, Nba.seasonQuestion(q, "2015-16", "2012-13")).cache()
-    val jg = JoinGraph(
-      Vector(JGNode(0, "PT"), JGNode(1, "player_game_stats"), JGNode(2, "player")),
-      Vector(
-        JGEdge(0, 1, Some("g"), JoinCond(Seq("game_date" -> "game_date", "home_id" -> "home_id"))),
-        JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
-    val apt = Apt.materialize(nba, q, pt, jg).cache()
-    val attrs = Apt.patternColumns(apt, q).filterNot(_.endsWith("_id"))
+    val apts = Join.Apts(TestData.nba(spark), q, Nba.seasonQuestion(q, "2015-16", "2012-13"), Params.default)
+    val apt = apts(Nba.pgsPlayerJg)
+    val attrs = Apt.patternColumns(apt.names, q).filterNot(_.endsWith("_id"))
     val (p16, _) = ExplanationTables.run(apt, attrs, sampleSize = 16, k = 5)
     val (p128, _) = ExplanationTables.run(apt, attrs, sampleSize = 128, k = 5)
     assert(p16.nonEmpty && p128.nonEmpty)
-    apt.unpersist(); pt.unpersist()
   }
 }

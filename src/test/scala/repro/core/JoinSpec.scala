@@ -7,6 +7,7 @@ import repro.core.Query._
 import repro.core.Schema._
 import repro.data.{Mimic, Nba}
 import repro.exp.Tables
+import repro.study.UserStudy
 
 /** The driver-side joins against their Spark reference: the PT that
   * `Join.provenance` builds must hold the rows of `Query.questionProvenance`,
@@ -49,16 +50,17 @@ class JoinSpec extends SparkSpec {
       assertSame(Join.Apts(db, q, uq, p).pt, reference, s"${q.name} $uq maxJoinGraphs=${p.maxJoinGraphs}")
   }
 
-  /** The APT of every graph enumerated at λ_#edges = 3 against Spark's;
-    * returns the number of graphs.
+  /** The APT of each graph of `only`, or else of every graph enumerated
+    * under `params`, against Spark's; returns the number of graphs.
     */
-  private def checkApts(db: Database, q: QuerySpec, uq: UserQuestion, params: Params = deep): Int = {
+  private def checkApts(db: Database, q: QuerySpec, uq: UserQuestion, params: Params = deep,
+                        only: Option[Seq[JoinGraph]] = None): Int = {
     val apts = Join.Apts(db, q, uq, params)
     val pt = Query.questionProvenance(db, q, uq).cache()
     val before = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", 4L)
     try {
-      val graphs = Enumerate.enumerate(db, q, params, apts.pt.rows.toLong)
+      val graphs = only.getOrElse(Enumerate.enumerate(db, q, params, apts.pt.rows.toLong))
       graphs.foreach(jg => assertSame(apts(jg), sparkTable(Apt.materialize(db, q, pt, jg)), jg.describe))
       graphs.size
     } finally {
@@ -88,6 +90,17 @@ class JoinSpec extends SparkSpec {
   test("the driver APT equals Spark's for every graph of MIMIC UQ₂ at λ_#edges = 3") {
     val n = checkApts(mimic, Mimic.qMimicInsurance, Mimic.question(Mimic.qMimicInsurance, "Medicare", "Private"))
     assert(n > 100)
+  }
+
+  test("the driver APT equals Spark's for the hand-built graphs of the experiments") {
+    val uq1 = Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13")
+    // Figure 10a's Ω₂, and the APT of Figure 11 and Table 10, built with the benchmark parameters.
+    checkApts(nba, Nba.qNba4, uq1, Tables.benchParams, Some(Seq(Tables.omega2, Nba.pgsPlayerJg)))
+    // Figure 10a's Ω₄.
+    checkApts(mimic, Mimic.qMimicInsurance, Mimic.question(Mimic.qMimicInsurance, "Medicare", "Private"),
+      Tables.benchParams, Some(Seq(Tables.omega4)))
+    // The study explanations' graphs, with the default parameters.
+    checkApts(nba, Nba.qNba4, uq1, Params.default, Some(Seq(Nba.pgsPlayerJg, UserStudy.tgsJg)))
   }
 
   // ---- NULL, Int, Double and string keys ----------------------------------
