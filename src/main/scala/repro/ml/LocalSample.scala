@@ -51,7 +51,11 @@ object LocalSample {
       val n = until - from
       val want = math.min(perGrp, math.ceil(frac * n).toInt)
       val take = if (want >= math.min(perGrp, 30)) want else math.min(perGrp, n)
-      rank.indices.sortBy(rank(_)).take(take).map(from + _)
+      // A row's rank in the high 32 bits and its offset in the low ones, so
+      // the sorted longs order rows by rank, then by offset.
+      val byRank = Array.tabulate(n)(k => rank(k).toLong << 32 | k)
+      java.util.Arrays.sort(byRank)
+      byRank.iterator.take(take).map(r => from + r.toInt).toSeq
     }
     LocalSample(table, attrs, (group(0, table.t1Rows) ++ group(table.t1Rows, table.rows)).toVector)
   }

@@ -46,6 +46,44 @@ class MlSpec extends SparkSpec {
     assert(a == b)
   }
 
+  /** Up to 240 rows whose labels lean on every column, with a null in any
+    * cell: `zeros` holds −0.0, 0.0 and NaN among few values, `num` rounded
+    * Gaussians and NaN, and `narrow`, `medium` and `wide` 2–4, 5–16 and
+    * 17–31 categorical values.
+    */
+  private def randomSample(seed: Int): LocalSample = {
+    val rnd = new Random(seed)
+    val n = rnd.nextInt(241)
+    val t2Share = rnd.nextDouble()
+    val (narrow, medium, wide) = (2 + rnd.nextInt(3), 5 + rnd.nextInt(12), 17 + rnd.nextInt(15))
+    def orNull(v: Any): Any = if (rnd.nextInt(12) == 0) null else v
+    def cat(prefix: String, values: Int, label: Int): Any =
+      orNull(s"$prefix${(rnd.nextInt(values) + label * rnd.nextInt(2)) % values}")
+    TestData.sample(
+      Seq("zeros" -> true, "num" -> true, "narrow" -> false, "medium" -> false, "wide" -> false),
+      (0 until n).map { _ =>
+        val label = if (rnd.nextDouble() < t2Share) 1 else 0
+        val zeros = rnd.nextInt(6) match {
+          case 0 => -0.0
+          case 1 => 0.0
+          case 2 => Double.NaN
+          case k => (k - 3 + label) * 1.5
+        }
+        val num = if (rnd.nextInt(10) == 0) Double.NaN else math.rint(rnd.nextGaussian() * 4 + 3 * label)
+        (Seq(orNull(zeros), orNull(num), cat("n", narrow, label), cat("m", medium, label), cat("w", wide, label)), label)
+      })
+  }
+
+  test("count-based split search gives the reference forest's importances") {
+    val allT1 = { val s = randomSample(1); s.copy(rows = s.rows.filter(_ < s.table.t1Rows)) }
+    assert(allT1.size > 0)
+    val samples = randomSample(0).copy(rows = Vector.empty) +: allT1 +: (2 until 222).map(randomSample)
+    for (seed <- Seq(7L, 13L, 42L); (s, i) <- samples.zipWithIndex)
+      assert(RandomForest.featureImportance(s, seed) == ReferenceForest.featureImportance(s, seed), s"sample $i, seed $seed")
+    // Most samples split, so the importances compared are not all zero.
+    assert(samples.count(RandomForest.featureImportance(_).values.sum > 0) > 150)
+  }
+
   // ---- association measures ----------------------------------------------
 
   test("pearson of a perfect linear relation is ±1") {
