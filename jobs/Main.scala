@@ -35,7 +35,7 @@ object Main {
     val run = experiments.getOrElse(name, throw new IllegalArgumentException(
       s"unknown experiment '$name'; known: ${experiments.keys.mkString(", ")}"))
     val sf = args.lift(1).map(_.toDouble).getOrElse(0.1)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("cajade-repro")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -23,15 +23,15 @@ object ExplanationTables {
   private val MaxPreds = 6 // predicates per LCA candidate
 
   /** Bucketizes numeric columns of the sample into categorical quartile
-    * labels like "bin2" so ET's categorical machinery can use them: a
-    * sample over a new table of the sample's rows, every column a string.
+    * labels like "bin2" so ET's categorical machinery can use them: a new
+    * table of the sample's rows, every column a string.
     */
-  def bucketize(sample: LocalSample): LocalSample = {
-    val n = sample.size
-    val cols: Seq[(String, Array[Any])] = sample.attrs.zipWithIndex.map { case (a, i) =>
-      a.name -> (if (!a.numeric) sample.categoricalValues(i).toArray[Any]
+  def bucketize(sample: Metrics.Table): Metrics.Table = {
+    val n = sample.rows
+    val cols: Seq[(String, Array[Any])] = sample.names.map { a =>
+      a -> (if (!sample.isNumeric(a)) sample.stringValues(a).toArray[Any]
       else {
-        val vs = sample.numericValues(i)
+        val vs = sample.doubles(a)
         val sortedVals = vs.filterNot(_.isNaN).sorted
         if (sortedVals.isEmpty) new Array[Any](n)
         else {
@@ -40,9 +40,7 @@ object ExplanationTables {
         }
       })
     }
-    val table = Metrics.Table(Array.tabulate(n)(_.toLong), (0 until n).count(sample.label(_) == 0), cols,
-      _ => false, Array.fill(n)(true))
-    LocalSample(table, sample.attrs.map(_.copy(numeric = false)), (0 until n).toVector)
+    Metrics.Table(Array.tabulate(n)(_.toLong), sample.t1Rows, cols, _ => false)
   }
 
   /** Greedy ET summary of size `k` from an LCA candidate pool, scored by
@@ -50,15 +48,14 @@ object ExplanationTables {
     * covers (marginal gain over already-picked patterns, re-evaluated each
     * round — the quadratic loop).
     */
-  def summarize(sample0: LocalSample, k: Int): Seq[EtPattern] = {
+  def summarize(sample0: Metrics.Table, k: Int): Seq[EtPattern] = {
     val sample = bucketize(sample0)
-    val candidates = repro.core.Lca.candidates(sample, sample.attrs.map(_.name), MaxPreds)
-    val n = sample.size
+    val candidates = repro.core.Lca.candidates(sample, sample.names, MaxPreds)
+    val n = sample.rows
     val pool = scala.collection.mutable.ArrayBuffer(candidates.take(4000): _*)
     // Each candidate as (an attribute's codes, the code it must equal) pairs.
-    val codes = sample.attrs.indices.map(sample.codes)
     val compiled = pool.map { p =>
-      p -> p.preds.map(pr => (codes(sample.attrIndex(pr.attr)), sample.table.strings(pr.attr).indexOf(pr.value.render)))
+      p -> p.preds.map(pr => (sample.codes(pr.attr), sample.strings(pr.attr).indexOf(pr.value.render)))
     }.toMap
     def matches(p: Seq[(Array[Int], Int)], i: Int): Boolean =
       p.forall { case (column, code) => column(i) == code }
@@ -73,7 +70,7 @@ object ExplanationTables {
     }
 
     val covered = Array.fill(n)(false)
-    val labels = Array.tabulate(n)(sample.label)
+    val labels = Array.tabulate(n)(i => if (i < sample.t1Rows) 0 else 1)
     val out = scala.collection.mutable.ArrayBuffer.empty[EtPattern]
     val total1 = labels.count(_ == 1)
     val baseH = entropy(total1, n - total1)

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.ml.{Correlation, LocalSample, RandomForest}
+import repro.ml.{Correlation, RandomForest}
 
 /** FILTERATTRS from Algorithm 1: clustering correlated attributes and
   * filtering by random-forest relevance (paper Section 3.1).
@@ -23,27 +23,22 @@ object FeatureSelect {
     * With `featureSelection = false` every attribute is kept (the Naive
     * configuration of Section 5.1).
     */
-  def filterAttrs(sample: LocalSample, params: Params): Selected = {
-    val all = sample.attrs
-    if (!params.featureSelection) {
-      return Selected(all.filterNot(_.numeric).map(_.name), all.filter(_.numeric).map(_.name))
-    }
+  def filterAttrs(sample: Metrics.Table, params: Params): Selected = {
+    val (numeric, categorical) = sample.names.toVector.partition(sample.isNumeric)
+    if (!params.featureSelection) return Selected(categorical, numeric)
     val importance = RandomForest.featureImportance(sample, params.seed)
 
-    def topOfKind(numeric: Boolean): Vector[String] =
-      all.filter(_.numeric == numeric)
-        .map(a => a.name -> importance.getOrElse(a.name, 0.0))
+    def top(attrs: Vector[String]): Vector[String] =
+      attrs.map(a => a -> importance.getOrElse(a, 0.0))
         .filter(_._2 > 0.0)
         .sortBy(-_._2)
         .take(params.selAttrCount)
         .map(_._1)
 
-    val (categorical, numeric) = (topOfKind(numeric = false), topOfKind(numeric = true))
-    val clusters = Correlation.cluster(sample, (categorical ++ numeric).map(sample.attrIndex), params.corrThreshold)
-    val reps = clusters.map { c =>
-      c.maxBy(i => importance.getOrElse(sample.attrs(i).name, 0.0))
-    }.map(i => sample.attrs(i).name).toSet
+    val (topCategorical, topNumeric) = (top(categorical), top(numeric))
+    val reps = Correlation.cluster(sample, topCategorical ++ topNumeric, params.corrThreshold)
+      .map(_.maxBy(importance.getOrElse(_, 0.0))).toSet
 
-    Selected(categorical.filter(reps), numeric.filter(reps))
+    Selected(topCategorical.filter(reps), topNumeric.filter(reps))
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.ml.LocalSample
 import scala.collection.mutable
 
 /** LCA (lowest-common-ancestor) pattern-candidate generation (paper
@@ -35,16 +34,16 @@ object Lca {
     * steps taken in attribute-name order, so a `Pattern` is built once per
     * distinct candidate rather than once per pair.
     */
-  def candidates(sample: LocalSample, catAttrs: Seq[String], maxPreds: Int): Seq[Pattern.Pattern] = {
-    val attrs = catAttrs.filter(sample.attrIndex(_) >= 0).toArray
-    if (attrs.isEmpty || sample.size < 2) return Nil
+  def candidates(sample: Metrics.Table, catAttrs: Seq[String], maxPreds: Int): Seq[Pattern.Pattern] = {
+    val attrs = catAttrs.filter(sample.names.contains).toArray
+    if (attrs.isEmpty || sample.rows < 2) return Nil
     val k = attrs.length
     // Per attribute: each row's value code (-1 for null) and how often each
     // code occurs in the sample; value frequencies pick the rarest (most
     // selective) agreements when truncating wide patterns.
-    val codes = attrs.map(a => sample.codes(sample.attrIndex(a)))
+    val codes = attrs.map(sample.codes)
     val freq = Array.tabulate(k) { a =>
-      val f = new Array[Int](sample.table.strings(attrs(a)).length)
+      val f = new Array[Int](sample.strings(attrs(a)).length)
       codes(a).foreach(c => if (c >= 0) f(c) += 1)
       f
     }
@@ -72,11 +71,11 @@ object Lca {
     }
 
     val rows: Array[Int] = {
-      val n = sample.size
+      val n = sample.rows
       if (n.toLong * (n - 1) / 2 <= MaxPairs) Array.range(0, n)
       else {
         val m = Iterator.from(2).takeWhile(m => m.toLong * (m - 1) / 2 <= MaxPairs).max
-        val n1 = (0 until n).count(sample.label(_) == 0)
+        val n1 = sample.t1Rows
         def first(nt: Int) = math.ceil(m.toDouble * nt / n).toInt
         Array.range(0, first(n1)) ++ Array.range(n1, n1 + first(n - n1))
       }
@@ -119,7 +118,7 @@ object Lca {
     def pattern(v: Int): Pattern.Pattern = {
       val preds = Iterator.iterate(v)(parent(_)).takeWhile(_ != 0).map { u =>
         val a = step(u) % k
-        Pattern.Pred(attrs(a), Pattern.OpEq, Pattern.CatV(sample.table.strings(attrs(a))(step(u) / k)))
+        Pattern.Pred(attrs(a), Pattern.OpEq, Pattern.CatV(sample.strings(attrs(a))(step(u) / k)))
       }
       Pattern.Pattern.of(preds.toSeq: _*)
     }

@@ -100,6 +100,18 @@ object Metrics {
       new Table(rows.map(ptIds), rows.count(_ < t1Rows),
         columns.map { case (a, c) => a -> c.subset(rows) } ++ more, mask(rows.map(flags.get)))
 
+    /** The table whose row r is row `rows(r)` of this one, over the
+      * columns `attrs` in that order; each row is flagged and its own PT
+      * tuple, and the dictionaries are shared. A row may repeat; the rows
+      * of t1 must come first.
+      */
+    def select(rows: Array[Int], attrs: Seq[String]): Table = {
+      val t1 = rows.count(_ < t1Rows)
+      require(rows.iterator.drop(t1).forall(_ >= t1Rows), "the rows of t1 must come first")
+      new Table(Array.tabulate(rows.length)(_.toLong), t1, attrs.map(a => a -> column(a).subset(rows)).toVector,
+        all(rows.length))
+    }
+
     /** This table with `flags` as its λ_F1-samp flags. */
     private[core] def withFlags(flags: BitSet): Table = new Table(ptIds, t1Rows, columns, flags)
 
@@ -119,6 +131,12 @@ object Metrics {
       */
     def codes(attr: String): Array[Int] = strCol(attr).codes
     def strings(attr: String): Array[String] = strCol(attr).strings
+
+    /** The string column `attr`, one value per row, null for null. */
+    def stringValues(attr: String): Array[String] = {
+      val c = strCol(attr)
+      c.codes.map(k => if (k < 0) null else c.strings(k))
+    }
 
     /** A seeded MurmurHash3 of each row of `[from, until)` over `attrs`:
       * `arrayHash` of its cells' `##` (of the `Double`, NaN for null, or of
@@ -190,18 +208,19 @@ object Metrics {
         .sortWith((a, b) => if (isT2(a) != isT2(b)) isT2(b) else ids(a) < ids(b))
       Table(order.map(ids), order.count(!isT2(_)),
         attrs.zipWithIndex.map { case (a, j) => a -> order.map(i => raw(i).get(j + 2)) },
-        a => apt.schema(a).dataType.isInstanceOf[NumericType], Array.fill(order.length)(true))
+        a => apt.schema(a).dataType.isInstanceOf[NumericType])
     }
 
     /** A table of rows held on the driver: row `i` belongs to PT tuple
       * `ptIds(i)`, rows `[0, t1Rows)` to t1 and the rest to t2, and each
       * PT tuple's rows are adjacent. `columns` gives each attribute's
       * values, one per row: a `Number` or null for an attribute that is
-      * `numeric`, for any other a value held as its string, or null.
+      * `numeric`, for any other a value held as its string, or null. Every
+      * row is flagged.
       */
     def apply(ptIds: Array[Long], t1Rows: Int, columns: Seq[(String, Array[Any])],
-              numeric: String => Boolean, flags: Array[Boolean]): Table =
-      new Table(ptIds, t1Rows, columns.map { case (a, values) => a -> Col(values, numeric(a)) }.toVector, mask(flags))
+              numeric: String => Boolean): Table =
+      new Table(ptIds, t1Rows, columns.map { case (a, values) => a -> Col(values, numeric(a)) }.toVector, all(ptIds.length))
 
     /** One column of driver-side rows. */
     private[core] sealed trait Col {
@@ -297,7 +316,7 @@ object Metrics {
       if (x == y) 0 else java.lang.Double.compare(x, y)
   }
 
-  private[core] def mask(bits: Array[Boolean]): BitSet = {
+  private def mask(bits: Array[Boolean]): BitSet = {
     val b = new BitSet(bits.length)
     bits.indices.foreach(i => if (bits(i)) b.set(i))
     b

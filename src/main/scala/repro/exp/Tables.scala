@@ -77,7 +77,10 @@ object Tables {
 
   /** Paper Figure 7 (runtime-breakdown tables, NBA and MIMIC): per-step
     * seconds for λ_F1-samp ∈ {0.1, 0.3, 1.0} and the Naive (no feature
-    * selection) configuration.
+    * selection) configuration. One untimed call with the first
+    * configuration comes before them: it gathers the enumeration
+    * statistics and pays the database's first-call costs, so every column
+    * measures the per-call work only.
     */
   def figure7Breakdown(spark: SparkSession, dataset: String, sf: Double = 0.1,
                        maxEdges: Int = 1): Seq[String] = {
@@ -91,29 +94,20 @@ object Tables {
       "naive" -> benchParams.copy(maxEdges = maxEdges, f1SampleRate = 1.0, featureSelection = false))
     val steps = Seq("Feature Selection", "Gen. Pat. Cand.", "F-score Calc.",
       "Materialize APTs", "Refine Patterns", "Sampling for F1", "JG Enum.")
-    gatherStatistics(db, q, configs.head._2)
+    Cajade.explain(db, q, uq, configs.head._2)
     val timers = configs.map { case (name, p) =>
       val timer = new Mine.StepTimer
       Cajade.explain(db, q, uq, p, timer)
       name -> timer
     }
     header(s"Figure 7 ($dataset): runtime breakdown in seconds (λ_#edges=$maxEdges; " +
-      "enumeration statistics gathered before, untimed)") ++
+      s"after one untimed ${configs.head._1} call)") ++
       Seq(("step" +: timers.map(_._1)).map(s => f"$s%18s").mkString) ++
       steps.map { s =>
         (f"$s%18s" +: timers.map { case (_, t) => f"${t.seconds(s)}%18.2f" }).mkString
       } ++
       Seq((f"${"total"}%18s" +: timers.map { case (_, t) => f"${t.totals.values.sum}%18.2f" }).mkString)
   }
-
-  /** Runs the Spark jobs of `db.costModel`'s once-per-database statistics
-    * that enumerating `q`'s join graphs under `p` needs, so that a timed
-    * `explain` after it measures the per-call work only. A PT of
-    * `Long.MaxValue` rows makes every graph too costly, so enumeration goes
-    * through every level up to λ_#edges and estimates every graph there.
-    */
-  private def gatherStatistics(db: Database, q: Query.QuerySpec, p: Params): Unit =
-    Enumerate.enumerate(db, q, p, ptRows = Long.MaxValue)
 
   /** Figure 10a's Ω₂ over Q1 and Ω₄ over Q_mimic4. */
   private[repro] val omega2 = JoinGraph(
@@ -236,7 +230,8 @@ object Tables {
 
   /** Paper Figure 12 — runtime per workload query (compact λ_#edges=1
     * rendition; the paper's point is that runtime tracks the number of
-    * join graphs).
+    * join graphs). Each query is timed on its second call; the first
+    * gathers the enumeration statistics and pays the first-call costs.
     */
   def figure12VaryingQueries(spark: SparkSession, sf: Double = 0.1): Seq[String] = {
     val nba = Nba.generate(spark, sf)
@@ -250,9 +245,9 @@ object Tables {
         (s"Q_w${i + 6}/mimic${i + 1}", mimic, q, Mimic.question(q, v1, v2))
       }
     header("Figure 12: runtime per workload query (seconds, λ_#edges=1; " +
-      "enumeration statistics gathered before, untimed)") ++
+      "each after one untimed call)") ++
       cases.map { case (name, db, q, uq) =>
-        gatherStatistics(db, q, p)
+        Cajade.explain(db, q, uq, p)
         val t0 = System.nanoTime()
         val res = Cajade.explain(db, q, uq, p)
         f"  $name%-14s ${(System.nanoTime() - t0) / 1e9}%8.2f s  (${res.joinGraphCount} join graphs)"

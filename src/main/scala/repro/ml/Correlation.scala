@@ -1,5 +1,7 @@
 package repro.ml
 
+import repro.core.Metrics
+
 /** Attribute-correlation clustering (paper Section 3.1, "Clustering
   * Attributes based on Correlations").
   *
@@ -12,16 +14,14 @@ package repro.ml
   */
 object Correlation {
 
-  /** Association in [0, 1] between attributes `i` and `j` of the sample. */
-  def association(sample: LocalSample, i: Int, j: Int): Double = {
-    val ai = sample.attrs(i); val aj = sample.attrs(j)
-    (ai.numeric, aj.numeric) match {
-      case (true, true)   => math.abs(pearson(sample.numericValues(i), sample.numericValues(j)))
-      case (false, false) => cramersV(sample.categoricalValues(i), sample.categoricalValues(j))
-      case (true, false)  => correlationRatio(sample.categoricalValues(j), sample.numericValues(i))
-      case (false, true)  => correlationRatio(sample.categoricalValues(i), sample.numericValues(j))
+  /** Association in [0, 1] between attributes `a` and `b` of the sample. */
+  def association(sample: Metrics.Table, a: String, b: String): Double =
+    (sample.isNumeric(a), sample.isNumeric(b)) match {
+      case (true, true)   => math.abs(pearson(sample.doubles(a), sample.doubles(b)))
+      case (false, false) => cramersV(sample.stringValues(a), sample.stringValues(b))
+      case (true, false)  => correlationRatio(sample.stringValues(b), sample.doubles(a))
+      case (false, true)  => correlationRatio(sample.stringValues(a), sample.doubles(b))
     }
-  }
 
   def pearson(xs: collection.Seq[Double], ys: collection.Seq[Double]): Double = {
     val pairs = xs.zip(ys).filterNot { case (a, b) => a.isNaN || b.isNaN }
@@ -73,18 +73,18 @@ object Correlation {
     math.sqrt(math.min(1.0, ssBetween / ssTot))
   }
 
-  /** Single-link clusters of attribute indices whose pairwise association
-    * exceeds `threshold` (union–find), in input order.
+  /** Single-link clusters of the sample's attributes `attrs` whose
+    * pairwise association exceeds `threshold` (union–find), in input order.
     */
-  def cluster(sample: LocalSample, attrIdx: Seq[Int], threshold: Double): Seq[Seq[Int]] = {
-    val parent = scala.collection.mutable.Map(attrIdx.map(i => i -> i): _*)
-    def find(x: Int): Int = if (parent(x) == x) x else { val r = find(parent(x)); parent(x) = r; r }
-    def union(a: Int, b: Int): Unit = { val (ra, rb) = (find(a), find(b)); if (ra != rb) parent(ra) = rb }
+  def cluster(sample: Metrics.Table, attrs: Seq[String], threshold: Double): Seq[Seq[String]] = {
+    val parent = scala.collection.mutable.Map(attrs.map(a => a -> a): _*)
+    def find(x: String): String = if (parent(x) == x) x else { val r = find(parent(x)); parent(x) = r; r }
+    def union(a: String, b: String): Unit = { val (ra, rb) = (find(a), find(b)); if (ra != rb) parent(ra) = rb }
     for {
-      (i, ii) <- attrIdx.zipWithIndex
-      j <- attrIdx.drop(ii + 1)
-      if association(sample, i, j) >= threshold
-    } union(i, j)
-    attrIdx.groupBy(find).values.toSeq.sortBy(_.head)
+      (a, i) <- attrs.zipWithIndex
+      b <- attrs.drop(i + 1)
+      if association(sample, a, b) >= threshold
+    } union(a, b)
+    attrs.groupBy(find).values.toSeq.sortBy(c => attrs.indexOf(c.head))
   }
 }

@@ -1,5 +1,6 @@
 package repro.ml
 
+import repro.core.Metrics
 import scala.collection.mutable
 import scala.util.Random
 
@@ -30,11 +31,12 @@ object RandomForest {
     * normalized to sum to 1 (all-zero when the labels are constant).
     * Importance is keyed by attribute name.
     */
-  def featureImportance(sample: LocalSample, seed: Long = 13): Map[String, Double] = {
-    val n = sample.size
-    val p = sample.attrs.size
-    val labels = Array.tabulate(n)(sample.label)
-    val columns = sample.attrs.indices.map(column(sample, _))
+  def featureImportance(sample: Metrics.Table, seed: Long = 13): Map[String, Double] = {
+    val n = sample.rows
+    val attrs = sample.names
+    val p = attrs.size
+    val labels = Array.tabulate(n)(i => if (i < sample.t1Rows) 0 else 1)
+    val columns = attrs.map(column(sample, _))
     val imp = Array.fill(p)(0.0)
     val rnd = new Random(seed)
     val mtry = math.max(1, math.ceil(math.sqrt(p.toDouble)).toInt)
@@ -50,7 +52,7 @@ object RandomForest {
       val parentGini = gini(c0, c1)
       var bestF, bestKey = -1
       var bestGain = 0.0
-      rnd.shuffle(sample.attrs.indices.toList).take(mtry).foreach { f =>
+      rnd.shuffle(attrs.indices.toList).take(mtry).foreach { f =>
         columns(f).splits(idx, labels) { (key, l, l1) =>
           val r = idx.length - l
           val r1 = c1 - l1
@@ -71,8 +73,8 @@ object RandomForest {
 
     (0 until NTrees).foreach(_ => grow(Array.fill(n)(rnd.nextInt(n)), depth = 0))
     val total = imp.sum
-    sample.attrs.zipWithIndex.map { case (a, i) =>
-      a.name -> (if (total <= 0) 0.0 else imp(i) / total)
+    attrs.zipWithIndex.map { case (a, i) =>
+      a -> (if (total <= 0) 0.0 else imp(i) / total)
     }.toMap
   }
 
@@ -86,27 +88,19 @@ object RandomForest {
     }
   }
 
-  /** Attribute `f` of the sample as dense codes. A numeric value's code is
-    * its rank among the sample's distinct values, where −0.0 and 0.0 are
-    * one value; a categorical value's code numbers it in order of first
-    * appearance. NaN and null are -1.
+  /** Attribute `a` of the sample as codes. A numeric value's code is its
+    * rank among the sample's distinct values, where −0.0 and 0.0 are one
+    * value; a categorical value's code is its code in the table's
+    * dictionary. NaN and null are -1.
     */
-  private def column(sample: LocalSample, f: Int): Column =
-    if (sample.attrs(f).numeric) {
-      val values = sample.numericValues(f).map(_ + 0.0) // −0.0 + 0.0 is 0.0
+  private def column(sample: Metrics.Table, a: String): Column =
+    if (sample.isNumeric(a)) {
+      val values = sample.doubles(a).map(_ + 0.0) // −0.0 + 0.0 is 0.0
       val sorted = values.filter(!_.isNaN)
       java.util.Arrays.sort(sorted)
       val ranked = sorted.distinct
       new NumericColumn(values.map(v => if (v.isNaN) -1 else java.util.Arrays.binarySearch(ranked, v)), ranked.length)
-    } else {
-      val tableStrings = sample.table.strings(sample.attrs(f).name)
-      val strings = mutable.ArrayBuffer.empty[String]
-      val dense = mutable.HashMap.empty[Int, Int]
-      val codes = sample.codes(f).map { c =>
-        if (c < 0) -1 else dense.getOrElseUpdate(c, { strings += tableStrings(c); strings.size - 1 })
-      }
-      new CategoricalColumn(codes, strings.toArray)
-    }
+    } else new CategoricalColumn(sample.codes(a), sample.strings(a))
 
   /** One attribute's codes `0 until values` (-1 for null or NaN) per sample
     * row, with the counters of one node's split search.

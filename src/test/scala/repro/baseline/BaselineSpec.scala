@@ -1,9 +1,8 @@
 package repro.baseline
 
 import repro.{SparkSpec, TestData}
-import repro.core.{Apt, Join, Params, Query}
+import repro.core.{Apt, Join, Metrics, Params, Query}
 import repro.data.Nba
-import repro.ml.LocalSample
 
 /** Tests for the two comparison systems: Explanation Tables [19] and
   * CAPE [34].
@@ -49,14 +48,14 @@ class BaselineSpec extends SparkSpec {
 
   // ---- Explanation Tables -------------------------------------------------
 
-  private def mkSample(rows: Seq[(String, Double, Int)]): LocalSample =
+  private def mkSample(rows: Seq[(String, Double, Int)]): Metrics.Table =
     TestData.sample(Seq("cat" -> false, "num" -> true), rows.map { case (c, n, label) => (Seq(c, n), label) })
 
   test("ET bucketizes numeric attributes into categorical bins") {
     val s = mkSample((1 to 40).map(i => ("c", i.toDouble, i % 2)))
     val b = ExplanationTables.bucketize(s)
-    assert(b.attrs.forall(!_.numeric))
-    val bins = b.categoricalValues(1).distinct
+    assert(b.names.forall(!b.isNumeric(_)))
+    val bins = b.stringValues("num").distinct
     assert(bins.size > 1 && bins.forall(_.startsWith("bin")))
   }
   test("ET greedy summary finds the outcome-aligned pattern first") {

@@ -74,7 +74,7 @@ class AptSpec extends SparkSpec {
 
   test("APT multiplies provenance rows by join fan-out, never drops grp") {
     val apt = Apt.materialize(nba, q, pt, salaryJg)
-    val grps = apt.select("grp").distinct.collect().map(_.getString(0)).toSet
+    val grps = apt.select("grp").distinct().collect().map(_.getString(0)).toSet
     assert(grps.subsetOf(Set("t1", "t2")) && grps.nonEmpty)
   }
 

@@ -52,12 +52,12 @@ class FrontEndSpec extends SparkSpec {
   private def digest(xs: Seq[String]): Int = MurmurHash3.seqHash(xs)
 
   test("the sample keeps the same rows in the same order") {
-    val cols = sample.attrs.indices.map { i =>
-      if (sample.attrs(i).numeric) sample.numericValues(i).map(v => s"$v")
-      else sample.categoricalValues(i).map(v => s"$v")
+    val cols = sample.names.map { a =>
+      if (sample.isNumeric(a)) sample.doubles(a).map(v => s"$v")
+      else sample.stringValues(a).map(v => s"$v")
     }
-    val rows = (0 until sample.size).map(r => cols.map(_(r)).mkString(","))
-    assert(sample.attrs.map(a => s"${a.name}:${a.numeric}") == Vector("i:true", "d:true", "s:false", "n:false", "b:false"))
+    val rows = (0 until sample.rows).map(r => cols.map(_(r)).mkString(","))
+    assert(sample.names.map(a => s"$a:${sample.isNumeric(a)}") == Vector("i:true", "d:true", "s:false", "n:false", "b:false"))
     assert(rows.size == 141)
     assert(rows.take(4) == Seq("4.0,4.8,c,s8,false", "0.0,-3.4,c,null,false", "3.0,0.5,c,s8,false", "4.0,1.4,a,s0,null"))
     assert(digest(rows) == -1184715429)
@@ -68,7 +68,7 @@ class FrontEndSpec extends SparkSpec {
     assert(attrCols.map(a => s"$a=${imp(a)}") == Seq("i=0.6399716615949484", "d=0.131235771013646",
       "s=0.08257940648702428", "n=0.10874826219002706", "b=0.03746489871435408"))
     val assoc = for (i <- attrCols.indices; j <- attrCols.indices if i < j)
-      yield s"$i$j=${Correlation.association(sample, i, j)}"
+      yield s"$i$j=${Correlation.association(sample, attrCols(i), attrCols(j))}"
     assert(assoc == Seq("01=0.08528959005899393", "02=0.2582568364743235", "03=0.20787994834468415",
       "04=0.044455205062470665", "12=0.13258331950127825", "13=0.21277242153879528", "14=0.061901798554505616",
       "23=0.32868942707092735", "24=0.0861415069665568", "34=0.2851799186299071"))

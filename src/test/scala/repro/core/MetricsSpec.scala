@@ -45,6 +45,20 @@ class MetricsSpec extends SparkSpec {
     assert(Metrics.coverage(apt, Nil).isEmpty)
   }
 
+  test("select keeps the given rows in order, each its own PT tuple") {
+    val t = Metrics.Table.collect(apt, Seq("cat", "num"))
+    // Rows 0 and 1 are PT tuple 1's two rows; row 1 is taken twice.
+    val rows = Array(1, 0, 1, 3, 5, 4)
+    val s = t.select(rows, Seq("num", "cat"))
+    assert(s.names == Seq("num", "cat") && s.rows == 6 && s.t1Rows == 4)
+    assert(s.doubles("num").toSeq == rows.toSeq.map(t.doubles("num")))
+    val cat = rows.toSeq.map(t.stringValues("cat"))
+    assert(s.stringValues("cat").toSeq == cat && (s.strings("cat") eq t.strings("cat")))
+    assert(s.coverage(Seq(Pattern.empty)) == Seq(Metrics.Coverage(4, 2)))
+    assert(s.coverage(Seq(pA)) == Seq(Metrics.Coverage(cat.take(4).count(_ == "a"), cat.drop(4).count(_ == "a"))))
+    assert(intercept[IllegalArgumentException](t.select(Array(4, 0), Seq("cat"))).getMessage.contains("t1"))
+  }
+
   test("provSizes counts distinct pt_ids per group") {
     val (n1, n2) = Metrics.provSizes(apt)
     assert(n1 == 3 && n2 == 2)

@@ -5,7 +5,6 @@ import repro.{SparkSpec, TestData}
 import repro.core.Pattern._
 import repro.core.Schema._
 import repro.data.Nba
-import repro.ml.LocalSample
 import scala.util.Random
 
 /** Tests for LCA candidate generation, feature selection, and the MineAPT
@@ -20,7 +19,7 @@ class MineSpec extends SparkSpec {
 
   // ---- LCA ----------------------------------------------------------------
 
-  private def sampleOf(rows: Seq[(String, String)]): LocalSample =
+  private def sampleOf(rows: Seq[(String, String)]): Metrics.Table =
     TestData.sample(Seq("a" -> false, "b" -> false), rows.map { case (x, y) => (Seq(x, y), 0) })
 
   test("LCA keeps agreed constants and stars out disagreements") {
@@ -57,26 +56,26 @@ class MineSpec extends SparkSpec {
     * 250 000 pairs, it pairs the first ⌈m·nₜ/n⌉ rows of each tuple, for
     * the largest m with m(m−1)/2 ≤ 250 000.
     */
-  private def referenceCandidates(sample: LocalSample, catAttrs: Seq[String], maxPreds: Int): Seq[Pattern] = {
+  private def referenceCandidates(sample: Metrics.Table, catAttrs: Seq[String], maxPreds: Int): Seq[Pattern] = {
     val maxPairs = 250000
-    val idx = catAttrs.map(a => a -> sample.attrIndex(a)).filter(_._2 >= 0)
-    if (idx.isEmpty || sample.size < 2) return Nil
-    val cols: Map[String, Vector[String]] = idx.map { case (a, i) => a -> sample.categoricalValues(i).toVector }.toMap
+    val attrs = catAttrs.filter(sample.names.contains)
+    if (attrs.isEmpty || sample.rows < 2) return Nil
+    val cols: Map[String, Vector[String]] = attrs.map(a => a -> sample.stringValues(a).toVector).toMap
     val freq: Map[String, Map[String, Int]] = cols.map { case (a, vs) =>
       a -> vs.filter(_ != null).groupBy(identity).map { case (v, g) => v -> g.size }
     }
-    val all = 0 until sample.size
+    val all = 0 until sample.rows
     val rows =
       if (all.size * (all.size - 1) / 2 <= maxPairs) all
       else {
         val m = (2 to all.size).filter(m => m * (m - 1) / 2 <= maxPairs).max
-        val (t1, t2) = all.partition(sample.label(_) == 0)
+        val (t1, t2) = all.partition(_ < sample.t1Rows)
         Seq(t1, t2).flatMap(t => t.take(math.ceil(m.toDouble * t.size / all.size).toInt))
       }
     val counts = scala.collection.mutable.Map.empty[Pattern, Int]
     for (x <- rows.indices; y <- x + 1 until rows.size) {
       val (i, j) = (rows(x), rows(y))
-      val preds = idx.flatMap { case (a, _) =>
+      val preds = attrs.flatMap { a =>
         val vi = cols(a)(i); val vj = cols(a)(j)
         if (vi != null && vi == vj) Some(Pred(a, OpEq, CatV(vi))) else None
       }
@@ -96,7 +95,7 @@ class MineSpec extends SparkSpec {
     // Attribute names out of name order, so that predicate order and the
     // truncation's tie-break (attribute order) differ.
     val names = Vector("m", "c", "x", "a", "k", "b")
-    def sample(n: Int, alphabet: Int, nullRate: Double): LocalSample = TestData.sample(
+    def sample(n: Int, alphabet: Int, nullRate: Double): Metrics.Table = TestData.sample(
       names.map(_ -> false),
       Seq.fill(n)((Seq.fill[Any](names.size) {
         // Skewed values, so that value frequencies differ and also tie.

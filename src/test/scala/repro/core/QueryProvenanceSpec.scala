@@ -115,7 +115,7 @@ class QueryProvenanceSpec extends SparkSpec {
   }
 
   test("pt_id is unique") {
-    assert(pt.select("pt_id").distinct.count() == pt.count())
+    assert(pt.select("pt_id").distinct().count() == pt.count())
   }
   test("grp partitions PT by the question tuples") {
     val t1 = pt.filter(col("grp") === "t1")

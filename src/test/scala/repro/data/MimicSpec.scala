@@ -16,10 +16,10 @@ class MimicSpec extends SparkSpec {
       "admissions", "patients", "patients_admit_info", "diagnoses", "procedures", "icustays"))
   }
   test("hadm_id is unique in admissions") {
-    assert(db("admissions").select("hadm_id").distinct.count() == db("admissions").count())
+    assert(db("admissions").select("hadm_id").distinct().count() == db("admissions").count())
   }
   test("subject_id is unique in patients") {
-    assert(db("patients").select("subject_id").distinct.count() == db("patients").count())
+    assert(db("patients").select("subject_id").distinct().count() == db("patients").count())
   }
   test("admissions FK: subject resolves") {
     assert(db("admissions").join(db("patients"), Seq("subject_id"), "left_anti").count() == 0)
@@ -46,7 +46,7 @@ class MimicSpec extends SparkSpec {
     assert(db("admissions").filter(!col("hospital_expire_flag").isin(0, 1)).count() == 0)
   }
   test("a patient who died in hospital has expire_flag=1") {
-    val died = db("admissions").filter(col("hospital_expire_flag") === 1).select("subject_id").distinct
+    val died = db("admissions").filter(col("hospital_expire_flag") === 1).select("subject_id").distinct()
     val joined = died.join(db("patients"), Seq("subject_id"))
     assert(joined.filter(col("expire_flag") =!= 1).count() == 0)
   }

@@ -12,7 +12,7 @@ class NbaSpec extends SparkSpec {
   private lazy val db = TestData.nba(spark)
 
   private def distinctCount(t: String, cols: String*): Long =
-    db(t).select(cols.map(col): _*).distinct.count()
+    db(t).select(cols.map(col): _*).distinct().count()
 
   test("all eleven relations of Figure 5 exist") {
     assert(db.tables.keySet == Set(
@@ -57,7 +57,7 @@ class NbaSpec extends SparkSpec {
     assert(perGame == 2)
   }
   test("lineups have exactly five players") {
-    val sizes = db("lineup_player").groupBy("lineup_id").count().select("count").distinct
+    val sizes = db("lineup_player").groupBy("lineup_id").count().select("count").distinct()
       .collect().map(_.getLong(0)).toSet
     assert(sizes == Set(5L))
   }
@@ -71,7 +71,7 @@ class NbaSpec extends SparkSpec {
   test("seasons come in regular/playoffs pairs") {
     val bySeason = db("season").groupBy("season_name").count()
     assert(bySeason.filter(col("count") =!= 2).count() == 0)
-    assert(db("season").select("season_type").distinct.count() == 2)
+    assert(db("season").select("season_type").distinct().count() == 2)
   }
 
   // ---- planted effects ----------------------------------------------------

@@ -1,6 +1,7 @@
 package repro.ml
 
 import repro.{SparkSpec, TestData}
+import repro.core.Metrics
 import scala.util.Random
 
 /** Tests for the ML substrates: the local random forest used for relevance
@@ -8,7 +9,7 @@ import scala.util.Random
   */
 class MlSpec extends SparkSpec {
 
-  private def mkSample(n: Int, seed: Long = 1)(row: (Random, Int) => (Seq[Any], Int)): LocalSample = {
+  private def mkSample(n: Int, seed: Long = 1)(row: (Random, Int) => (Seq[Any], Int)): Metrics.Table = {
     val rnd = new Random(seed)
     TestData.sample(Seq("num1" -> true, "num2" -> true, "cat1" -> false, "cat2" -> false),
       (0 until n).map(row(rnd, _)))
@@ -32,12 +33,12 @@ class MlSpec extends SparkSpec {
     assert(math.abs(imp.values.sum - 1.0) < 1e-6)
   }
   test("constant labels yield zero importance everywhere") {
-    val s = informative.copy(rows = informative.rows.filter(_ < informative.table.t1Rows))
+    val s = informative.select(Array.range(0, informative.t1Rows), informative.names)
     val imp = RandomForest.featureImportance(s)
     assert(imp.values.forall(_ == 0.0))
   }
   test("empty sample is handled") {
-    val s = informative.copy(rows = Vector.empty)
+    val s = informative.select(Array.empty, informative.names)
     assert(RandomForest.featureImportance(s).values.forall(_ == 0.0))
   }
   test("forest is deterministic in the seed") {
@@ -51,7 +52,7 @@ class MlSpec extends SparkSpec {
     * Gaussians and NaN, and `narrow`, `medium` and `wide` 2–4, 5–16 and
     * 17–31 categorical values.
     */
-  private def randomSample(seed: Int): LocalSample = {
+  private def randomSample(seed: Int): Metrics.Table = {
     val rnd = new Random(seed)
     val n = rnd.nextInt(241)
     val t2Share = rnd.nextDouble()
@@ -75,9 +76,10 @@ class MlSpec extends SparkSpec {
   }
 
   test("count-based split search gives the reference forest's importances") {
-    val allT1 = { val s = randomSample(1); s.copy(rows = s.rows.filter(_ < s.table.t1Rows)) }
-    assert(allT1.size > 0)
-    val samples = randomSample(0).copy(rows = Vector.empty) +: allT1 +: (2 until 222).map(randomSample)
+    val allT1 = { val s = randomSample(1); s.select(Array.range(0, s.t1Rows), s.names) }
+    assert(allT1.rows > 0)
+    val empty = { val s = randomSample(0); s.select(Array.empty, s.names) }
+    val samples = empty +: allT1 +: (2 until 222).map(randomSample)
     for (seed <- Seq(7L, 13L, 42L); (s, i) <- samples.zipWithIndex)
       assert(RandomForest.featureImportance(s, seed) == ReferenceForest.featureImportance(s, seed), s"sample $i, seed $seed")
     // Most samples split, so the importances compared are not all zero.
@@ -129,12 +131,12 @@ class MlSpec extends SparkSpec {
     val base = Vector.fill(300)(rnd.nextGaussian() * 10 + 40)
     val s = TestData.sample(Seq("age" -> true, "birth" -> true, "noise" -> true),
       base.map(v => (Seq(v, 100 - v, rnd.nextGaussian()), 0)))
-    val clusters = Correlation.cluster(s, Seq(0, 1, 2), 0.9)
+    val clusters = Correlation.cluster(s, Seq("age", "birth", "noise"), 0.9)
     assert(clusters.size == 2)
-    assert(clusters.exists(c => c.toSet == Set(0, 1)))
+    assert(clusters.exists(c => c.toSet == Set("age", "birth")))
   }
   test("clustering with a high threshold keeps attributes apart") {
-    val clusters = Correlation.cluster(informative, Seq(0, 1, 2, 3), 0.999)
+    val clusters = Correlation.cluster(informative, informative.names, 0.999)
     assert(clusters.size == 4)
   }
 
@@ -145,16 +147,16 @@ class MlSpec extends SparkSpec {
     val df = (1 to 500).map(i => (i.toLong, "t" + (i % 2 + 1), i.toDouble, s"c${i % 5}"))
       .toDF("pt_id", "grp", "num", "cat")
     val s = LocalSample.collect(df, Seq("num", "cat"), 1.0, 100)
-    assert(s.size <= 100)
-    assert(s.attrs == Vector(LocalSample.Attr("num", true), LocalSample.Attr("cat", false)))
-    assert(s.rows.indices.map(s.label).toSet == Set(0, 1))
+    assert(s.rows <= 100)
+    assert(s.names == Seq("num", "cat") && s.isNumeric("num") && !s.isNumeric("cat"))
+    assert(s.t1Rows > 0 && s.t1Rows < s.rows)
   }
   test("collect stratifies across both question groups") {
     import spark.implicits._
     val df = ((1 to 300).map(i => (i.toLong, "t1", i.toDouble)) ++ (1 to 10).map(i => (1000L + i, "t2", i.toDouble)))
       .toDF("pt_id", "grp", "num")
     val s = LocalSample.collect(df, Seq("num"), 1.0, 100)
-    assert(s.rows.indices.count(s.label(_) == 1) == 10) // the whole minority group
-    assert(s.rows.indices.count(s.label(_) == 0) == 50)
+    assert(s.rows - s.t1Rows == 10) // the whole minority group
+    assert(s.t1Rows == 50)
   }
 }

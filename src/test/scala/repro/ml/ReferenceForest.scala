@@ -1,5 +1,6 @@
 package repro.ml
 
+import repro.core.Metrics
 import scala.util.Random
 
 /** The reference for [[RandomForest]]'s importances: the same forest with
@@ -16,14 +17,15 @@ object ReferenceForest {
     * normalized to sum to 1 (all-zero when the labels are constant).
     * Importance is keyed by attribute name.
     */
-  def featureImportance(sample: LocalSample, seed: Long = 13): Map[String, Double] = {
-    val n = sample.size
-    val p = sample.attrs.size
-    val labels = Array.tabulate(n)(sample.label)
+  def featureImportance(sample: Metrics.Table, seed: Long = 13): Map[String, Double] = {
+    val n = sample.rows
+    val attrs = sample.names
+    val p = attrs.size
+    val labels = Array.tabulate(n)(i => if (i < sample.t1Rows) 0 else 1)
     // Per attribute: the candidate splits of a node's rows, each true for the rows that go left.
-    val splits: IndexedSeq[Array[Int] => Seq[Int => Boolean]] = sample.attrs.indices.map { f =>
-      if (sample.attrs(f).numeric) numericSplits(sample.numericValues(f)) _
-      else categoricalSplits(sample.codes(f), sample.categoricalValues(f)) _
+    val splits: Seq[Array[Int] => Seq[Int => Boolean]] = attrs.map { a =>
+      if (sample.isNumeric(a)) numericSplits(sample.doubles(a)) _
+      else categoricalSplits(sample.codes(a), sample.stringValues(a)) _
     }
     def counts(idx: Array[Int]): (Int, Int) = { val c1 = idx.count(labels(_) == 1); (idx.length - c1, c1) }
     val imp = Array.fill(p)(0.0)
@@ -37,7 +39,7 @@ object ReferenceForest {
       if (depth >= MaxDepth || idx.length < 2 * MinLeaf || c._1 == 0 || c._2 == 0) return
       val parentGini = gini(c)
       var best: Option[(Int, Int => Boolean, Double)] = None
-      rnd.shuffle(sample.attrs.indices.toList).take(mtry).foreach { f =>
+      rnd.shuffle(attrs.indices.toList).take(mtry).foreach { f =>
         splits(f)(idx).foreach { left =>
           val (l, r) = idx.partition(left)
           if (l.length >= MinLeaf && r.length >= MinLeaf) {
@@ -59,8 +61,8 @@ object ReferenceForest {
 
     (0 until NTrees).foreach(_ => grow(Array.fill(n)(rnd.nextInt(n)), depth = 0))
     val total = imp.sum
-    sample.attrs.zipWithIndex.map { case (a, i) =>
-      a.name -> (if (total <= 0) 0.0 else imp(i) / total)
+    attrs.zipWithIndex.map { case (a, i) =>
+      a -> (if (total <= 0) 0.0 else imp(i) / total)
     }.toMap
   }
 
