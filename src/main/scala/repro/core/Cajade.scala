@@ -24,9 +24,12 @@ object Cajade {
   }
 
   /** Runs the full pipeline for a query and user question. The PT and
-    * every APT are built on the driver ([[Join.Apts]]) from one collect per
-    * relation the call reads. A question whose t1 or t2 has no provenance
-    * is rejected, as [[Query.provenanceTable]] rejects a malformed one.
+    * every APT are built on the driver ([[Join.Apts]]) from the relations
+    * `db` holds, each collected once per database, so only the first call
+    * that reads a relation launches a Spark job for it. Safe to call from
+    * several threads on one database. A question whose t1 or t2 has no
+    * provenance is rejected, as [[Query.provenanceTable]] rejects a
+    * malformed one.
     */
   def explain(db: Schema.Database, q: Query.QuerySpec, uq: Query.UserQuestion,
               params: Params = Params.default,

@@ -107,15 +107,6 @@ object Enumerate {
       pk.forall(joinedAttrs)
     }
 
-  /** The relations that can label a context node of a graph [[enumerate]]
-    * returns: those within λ_#edges schema-graph hops of a query relation,
-    * or none when `maxJoinGraphs` leaves room for Ω₀ only.
-    */
-  def contextRelations(sg: SchemaGraph, q: Query.QuerySpec, params: Params): Set[String] =
-    if (params.maxJoinGraphs <= 1) Set.empty
-    else Iterator.iterate(q.tables.map(_._1).toSet)(_.flatMap(r => sg.adjacent(r).map(_._1)))
-      .slice(1, params.maxEdges + 1).foldLeft(Set.empty[String])(_ ++ _)
-
   /** Enumerates all distinct, valid join graphs with 1..λ_#edges edges,
     * capped at `params.maxJoinGraphs` (cheapest first within a level).
     * Ω₀ (PT alone) is always first — provenance-only explanations come

@@ -1,23 +1,20 @@
 package repro.core
 
 import java.util.BitSet
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.{col, lit}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types.NumericType
 import repro.core.Metrics.Table
 import repro.core.Metrics.Table.Col
 import scala.collection.mutable
 
 /** Equi-joins on the driver: the question's provenance table from the
-  * query's collected relations, and the APT of every join graph from its
-  * parent graph's APT by one edge (paper §4, Algorithm 2's
-  * ExtendJG/AddEdge).
+  * query's relations, and the APT of every join graph from its parent
+  * graph's APT by one edge (paper §4, Algorithm 2's ExtendJG/AddEdge).
   *
-  * Spark's share of an `explain` is one collect per relation it needs.
-  * The query's relations are collected with the query's filters, the
-  * question's group-by values and the key sets of the relations collected
-  * before them pushed into the collect: a semi-join reduction in one pass
-  * along the query's joins (Yannakakis, VLDB 1981). Everything else works
+  * Spark's share of `explain` is one collect per relation per database:
+  * the first call that reads a relation collects it whole
+  * ([[Schema.Database.relations]]), and every later call on that database
+  * reads the held columns and launches no Spark job. Everything else works
   * on the columns of [[Metrics.Table]]: a node-adding edge is a hash join
   * of the parent APT's rows with the relation's rows, gathered through
   * `Col.subset`, and a parallel edge is a row filter. NULL never matches.
@@ -30,7 +27,8 @@ import scala.collection.mutable
 object Join {
 
   /** A relation held on the driver: `rows` rows, one column per attribute,
-    * in schema order.
+    * in schema order. Its columns never change; safe to share between
+    * threads.
     */
   final class Relation private (val rows: Int, columns: Seq[(String, Col)]) {
     private val byName = columns.toMap
@@ -40,9 +38,12 @@ object Join {
     def apply(attr: String): Col =
       byName.getOrElse(attr, throw new IllegalArgumentException(s"no attribute $attr"))
 
-    /** The rows of each non-null key over `attrs`; built once per key. */
-    def index(attrs: Seq[String]): collection.Map[Any, Array[Int]] =
-      indexes.getOrElseUpdate(attrs, Join.index(attrs.map(apply), Iterator.range(0, rows)))
+    /** The rows of each non-null key over `attrs`, ascending; built once
+      * per key.
+      */
+    def index(attrs: Seq[String]): collection.Map[Any, Array[Int]] = synchronized {
+      indexes.getOrElseUpdate(attrs, Join.index(attrs.map(apply), rows))
+    }
   }
 
   object Relation {
@@ -57,31 +58,16 @@ object Join {
     }
   }
 
-  /** The relations of `db` that one `explain` reads, each collected at most
-    * once: whole, or restricted by a predicate when nothing else in the
-    * call reads that relation. Asking for the whole of a relation that was
-    * collected restricted fails.
+  /** The relations of `db` held on the driver, each collected whole the
+    * first time it is read and kept. One instance per database
+    * ([[Schema.Database.relations]]), shared by the threads that call
+    * `explain` on it: each relation is collected once.
     */
   final class Relations(db: Schema.Database) {
-    private val collected = mutable.HashMap.empty[String, (Relation, Boolean)]
+    private val collected = mutable.HashMap.empty[String, Relation]
 
-    /** `rel`, every row. */
-    def apply(rel: String): Relation = {
-      val (r, restricted) = collected.getOrElseUpdate(rel, (Relation.collect(db(rel)), false))
-      if (restricted) throw new IllegalStateException(s"relation $rel was collected restricted")
-      r
-    }
-
-    /** The rows of `rel` that satisfy `pred`, or every row if `pred` is
-      * empty. `rel` must not be collected yet.
-      */
-    def restricted(rel: String, pred: Option[Column]): Relation = pred match {
-      case None => apply(rel)
-      case Some(p) =>
-        require(!collected.contains(rel), s"relation $rel is collected already")
-        val r = Relation.collect(db(rel).filter(p))
-        collected(rel) = (r, true)
-        r
+    def apply(rel: String): Relation = synchronized {
+      collected.getOrElseUpdate(rel, Relation.collect(db(rel)))
     }
   }
 
@@ -142,24 +128,18 @@ object Join {
 
   object Apts {
 
-    /** The APTs of `uq` as `explain` builds them: the PT is built on the
-      * driver from the query's relations ([[provenance]]), and a query
-      * relation that no mined join graph can use as a context node is
-      * collected restricted to the rows the question can reach.
+    /** The APTs of `uq` as `explain` builds them, over the PT built on the
+      * driver from the query's relations ([[provenance]]).
       */
-    def apply(db: Schema.Database, q: Query.QuerySpec, uq: Query.UserQuestion, params: Params): Apts = {
-      val relations = new Relations(db)
-      val context = Enumerate.contextRelations(db.schemaGraph, q, params)
-      val once = q.tables.groupBy(_._1).collect { case (rel, Seq(_)) => rel }.toSet
-      new Apts(q, provenance(relations, q, uq, rel => once(rel) && !context(rel)), relations, params)
-    }
+    def apply(db: Schema.Database, q: Query.QuerySpec, uq: Query.UserQuestion, params: Params): Apts =
+      new Apts(q, provenance(db.relations, q, uq), db.relations, params)
 
     /** The APTs over `pt`, a question's provenance computed in Spark (a
       * frame with the prov_ columns, `pt_id` and `grp`), collected in one
       * Spark job.
       */
     def apply(db: Schema.Database, q: Query.QuerySpec, pt: DataFrame, params: Params): Apts =
-      new Apts(q, Table.collect(pt, pt.columns.toSeq.filterNot(Set("pt_id", "grp"))), new Relations(db), params)
+      new Apts(q, Table.collect(pt, pt.columns.toSeq.filterNot(Set("pt_id", "grp"))), db.relations, params)
   }
 
   /** The λ_F1-samp flags of a PT: a PT tuple is in the sample when its
@@ -188,14 +168,13 @@ object Join {
     * row's position.
     * The aliases are joined starting with the one that the filters and the
     * question constrain most, each next one joined to those before it if
-    * the query joins it to any. A relation for which `restrict` holds is
-    * collected with the [[pushdown]] predicate of its alias; the driver
-    * applies every filter, join condition and question value itself, so a
-    * pushed-down predicate only saves transfer. Rejects a malformed
-    * question as [[Query.provenanceTable]] does.
+    * the query joins it to any, through the relation's held index on the
+    * joined attributes; only the rows that pass the alias's filters are
+    * joined. The driver applies every filter, join condition and question
+    * value itself, on relations collected whole.
+    * Rejects a malformed question as [[Query.provenanceTable]] does.
     */
-  def provenance(relations: Relations, q: Query.QuerySpec, uq: Query.UserQuestion,
-                 restrict: String => Boolean): Table = {
+  def provenance(relations: Relations, q: Query.QuerySpec, uq: Query.UserQuestion): Table = {
     Query.check(q, uq)
     val order = mutable.ArrayBuffer(q.aliases.maxBy(al =>
       q.filters.count(_.alias == al) + uq.tuples.map(_._2.keys.count(aliasOf(q, _)._1 == al)).sum))
@@ -212,17 +191,14 @@ object Join {
     for (al <- order) {
       val joins = joinsTo(q, al, order.takeWhile(_ != al).toSeq)
       val left = joins.map { case (b, ba, _) => (rel(b)(ba), rows(b)) }
-      val r = relations.restricted(q.relOfAlias(al),
-        if (!restrict(q.relOfAlias(al))) None
-        else pushdown(q, uq, al, joins.zip(left).map { case ((_, _, a), (c, rs)) =>
-          a -> rs.iterator.filter(c.key(_) != null).map(c.literal).toSeq.distinct }))
+      val r = relations(q.relOfAlias(al))
       val right = joins.map { case (_, _, a) => r(a) }
       checkKeys(joins.map { case (b, ba, a) => (q.provCol(b, ba), q.provCol(al, a)) }, left.map(_._1), right)
       val kept = q.filters.filter(_.alias == al).foldLeft(all(r.rows)) { (b, f) =>
         b.and(equalTo(r(f.attr), f.value)); b
       }
       val (p, m) = probe(n, i => key(left.map { case (c, rs) => c.key(rs(i)) }),
-        index(right, Iterator.range(0, r.rows).filter(kept.get)))
+        r.index(joins.map(_._3)), kept.get)
       rows = rows.map { case (b, rs) => b -> p.map(rs) } + (al -> m)
       rel(al) = r
       n = p.length
@@ -255,27 +231,6 @@ object Join {
       }, new BitSet)
   }
 
-  /** The predicate pushed into the collect of alias `al`'s relation: the
-    * alias's filters; the question's group-by values on `al`, when every
-    * tuple of a two-point question constrains `al` (a single-point
-    * question's t2 is every other tuple); and for each attribute in
-    * `keySets`, its values among the rows joined so far.
-    */
-  private def pushdown(q: Query.QuerySpec, uq: Query.UserQuestion, al: String,
-                       keySets: Seq[(String, Seq[Any])]): Option[Column] = {
-    val filters = q.filters.filter(_.alias == al).map(f => col(f.attr) === lit(f.value))
-    val question = uq match {
-      case Query.TwoPoint(t1, t2) =>
-        val perTuple = Seq(t1, t2).map(_.toSeq.collect {
-          case (c, v) if aliasOf(q, c)._1 == al => col(aliasOf(q, c)._2) === lit(v)
-        })
-        if (perTuple.exists(_.isEmpty)) None else Some(perTuple.map(_.reduce(_ && _)).reduce(_ || _))
-      case Query.SinglePoint(_) => None
-    }
-    val semiJoins = keySets.map { case (a, values) => col(a).isInCollection(values) }
-    (filters ++ question ++ semiJoins).reduceOption(_ && _)
-  }
-
   /** The (alias, attribute) of group-by column `c`. */
   private def aliasOf(q: Query.QuerySpec, c: String): (String, String) =
     q.groupBy.find { case (al, a) => q.provCol(al, a) == c }.get
@@ -300,10 +255,10 @@ object Join {
 
   private def key(cols: Seq[Col], i: Int): Any = key(cols.map(_.key(i)))
 
-  /** The rows among `rows` under each non-null key over `cols`. */
-  private def index(cols: Seq[Col], rows: Iterator[Int]): collection.Map[Any, Array[Int]] = {
+  /** The rows `[0, rows)` under each non-null key over `cols`. */
+  private def index(cols: Seq[Col], rows: Int): collection.Map[Any, Array[Int]] = {
     val b = mutable.HashMap.empty[Any, mutable.ArrayBuilder.ofInt]
-    rows.foreach { j =>
+    (0 until rows).foreach { j =>
       val k = key(cols, j)
       if (k != null) b.getOrElseUpdate(k, new mutable.ArrayBuilder.ofInt) += j
     }
@@ -311,14 +266,15 @@ object Join {
   }
 
   /** The pairs (i, j) of rows i < n of the left side and rows j of `index`
-    * under the key of i: in order of i, then of j.
+    * under the key of i for which `keep` holds: in order of i, then of j.
     */
-  private def probe(n: Int, key: Int => Any, index: collection.Map[Any, Array[Int]]): (Array[Int], Array[Int]) = {
+  private def probe(n: Int, key: Int => Any, index: collection.Map[Any, Array[Int]],
+                    keep: Int => Boolean = _ => true): (Array[Int], Array[Int]) = {
     val l, r = new mutable.ArrayBuilder.ofInt
     var i = 0
     while (i < n) {
       val k = key(i)
-      if (k != null) index.get(k).foreach(_.foreach { j => l += i; r += j })
+      if (k != null) index.get(k).foreach(_.foreach { j => if (keep(j)) { l += i; r += j } })
       i += 1
     }
     (l.result(), r.result())

@@ -146,13 +146,25 @@ object Metrics {
       */
     def rowHashes(attrs: Seq[String], seed: Int, from: Int, until: Int): Array[Int] = {
       val cols = attrs.toArray.map(column)
-      val copies = mutable.HashMap.empty[Int, Int]
-      Array.tabulate(until - from) { k =>
-        val h = MurmurHash3.arrayHash(cols.map(_.hash(from + k)), seed)
-        val ordinal = copies.getOrElse(h, 0)
-        copies(h) = ordinal + 1
-        MurmurHash3.finalizeHash(MurmurHash3.mix(h, ordinal), 1)
+      val cells = new Array[Int](cols.length)
+      // Each row's hash in the high 32 bits and its offset in the low ones:
+      // sorted, the rows of one hash are adjacent and in row order.
+      val byHash = Array.tabulate(until - from) { k =>
+        var j = 0
+        while (j < cols.length) { cells(j) = cols(j).hash(from + k); j += 1 }
+        MurmurHash3.arrayHash(cells, seed).toLong << 32 | k
       }
+      java.util.Arrays.sort(byHash)
+      val out = new Array[Int](byHash.length)
+      var ordinal = 0
+      var r = 0
+      while (r < byHash.length) {
+        val h = (byHash(r) >> 32).toInt
+        ordinal = if (r > 0 && (byHash(r - 1) >> 32).toInt == h) ordinal + 1 else 0
+        out(byHash(r).toInt) = MurmurHash3.finalizeHash(MurmurHash3.mix(h, ordinal), 1)
+        r += 1
+      }
+      out
     }
 
     /** Coverage of each of `patterns`, aligned with `patterns`. */
@@ -239,8 +251,6 @@ object Metrics {
         * this column.
         */
       def constant(v: String): Pattern.Value
-      /** Row `i`'s value as a Spark literal: a `Double` or a string. */
-      def literal(i: Int): Any
     }
 
     private[core] object Col {
@@ -285,7 +295,6 @@ object Metrics {
       def key(i: Int): Any =
         if (nulls.get(i)) null else java.lang.Double.doubleToLongBits(values(i) + 0.0)
       def constant(v: String): Pattern.Value = Pattern.NumV(v.toDouble)
-      def literal(i: Int): Any = values(i)
     }
 
     private[core] final case class StrCol(codes: Array[Int], strings: Array[String], dict: Map[String, Int]) extends Col {
@@ -306,7 +315,6 @@ object Metrics {
       def hash(i: Int): Int = if (codes(i) < 0) 0 else strings(codes(i)).##
       def key(i: Int): Any = if (codes(i) < 0) null else strings(codes(i))
       def constant(v: String): Pattern.Value = Pattern.CatV(v)
-      def literal(i: Int): Any = strings(codes(i))
     }
 
     /** Spark SQL's double ordering: -0.0 equals 0.0, NaN equals NaN and is

@@ -119,5 +119,11 @@ object Schema {
       * per instance: a second `explain` on it runs no statistics job.
       */
     lazy val costModel: Enumerate.CostModel = new Enumerate.CostModel(this)
+
+    /** The relations `explain` reads, each collected whole once per
+      * instance, on the first call that reads it: a later `explain` on it
+      * launches no Spark job.
+      */
+    lazy val relations: Join.Relations = new Join.Relations(this)
   }
 }

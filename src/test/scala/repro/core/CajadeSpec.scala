@@ -45,14 +45,16 @@ class CajadeSpec extends SparkSpec {
     // The collected relations' row order, and so the PT's row order and
     // `pt_id`s, follow the partition layout. Coverage depends only on
     // `pt_id` identity, and the λ_F1-samp sample on a hash of each PT
-    // tuple's values, so the answer must not.
+    // tuple's values, so the answer must not. A database holds the
+    // relations it collected first, so each call gets a fresh copy, which
+    // collects them under its own partition count.
     val uq = Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13")
     val params = fast.copy(maxEdges = 1, maxJoinGraphs = 3)
     def topAt(db: Schema.Database, params: Params, partitions: Int) = {
       val before = spark.conf.get("spark.sql.shuffle.partitions")
       spark.conf.set("spark.sql.shuffle.partitions", partitions.toLong)
       try {
-        val res = Cajade.explain(db, Nba.qNba4, uq, params)
+        val res = Cajade.explain(db.copy(), Nba.qNba4, uq, params)
         assert(res.joinGraphCount > 1)
         res.topExplanations(10).map(e => (e.jg.describe, e.pattern.render, e.quality))
       } finally spark.conf.set("spark.sql.shuffle.partitions", before)

@@ -1,10 +1,11 @@
 package repro.core
 
+import java.util.concurrent.CyclicBarrier
 import repro.{SparkSpec, TestData}
 import repro.core.Schema.JoinGraph
 import repro.data.Nba
 
-/** Spark jobs per `explain`: one collect per relation the call reads, and
+/** Spark jobs per `explain`: one collect per relation per database, and
   * the enumeration statistics once per database.
   */
 class JobBudgetSpec extends SparkSpec {
@@ -13,6 +14,14 @@ class JobBudgetSpec extends SparkSpec {
   private val q = Nba.qNba4
   private val uq = Nba.seasonQuestion(q, "2015-16", "2012-13")
   private val params = Params(maxEdges = 1, maxJoinGraphs = 1, topK = 5, f1SampleRate = 0.5)
+
+  /** The relations `res` read: the query's and its graphs' context nodes'. */
+  private def read(q: Query.QuerySpec, res: Cajade.Result): Seq[String] =
+    (q.tables.map(_._1) ++ res.perGraph.flatMap(_._1.contextNodes.map(_.rel))).distinct
+
+  /** What `explain` returns, comparable across calls. */
+  private def answer(res: Cajade.Result) =
+    (res.joinGraphCount, res.explanations.map(e => (e.jg.describe, e.pattern.render, e.quality)))
 
   test("mining Ω₀ over a cached Spark PT launches exactly one Spark job") {
     val pt = Query.questionProvenance(nba, q, uq).cache()
@@ -24,7 +33,7 @@ class JobBudgetSpec extends SparkSpec {
 
   test("explain with one join graph launches one collect per query relation") {
     val jobs = sparkJobs {
-      val res = Cajade.explain(nba, q, uq, params)
+      val res = Cajade.explain(nba.copy(), q, uq, params)
       assert(res.joinGraphCount == 1 && res.explanations.nonEmpty)
     }
     assert(jobs == q.tables.size)
@@ -37,14 +46,42 @@ class JobBudgetSpec extends SparkSpec {
   }
 
   test("Q_nba1 at λ_#edges = 2 with no cap: one collect per relation read, not per graph") {
+    // On a fresh database; a later call on it, of any question, launches none.
     val q1 = Nba.qNba1
     val uq1 = Nba.seasonQuestion(q1, "2015-16", "2016-17")
     val p = Params(maxEdges = 2, maxJoinGraphs = 100000, topK = 5, f1SampleRate = 0.3)
-    Cajade.explain(nba, q1, uq1, p) // the enumeration statistics, once per database
+    val db = nba.copy()
+    // The enumeration statistics, once per database, gathered apart.
+    Enumerate.enumerate(db, q1, p, Cajade.explain(nba, q1, uq1, p).perGraph.head._2.aptStats.rows)
     var res: Cajade.Result = null
-    val jobs = sparkJobs { res = Cajade.explain(nba, q1, uq1, p) }
-    val read = (q1.tables.map(_._1) ++ res.perGraph.flatMap(_._1.contextNodes.map(_.rel))).distinct
+    val first = sparkJobs { res = Cajade.explain(db, q1, uq1, p) }
     assert(res.joinGraphCount == 46)
-    assert(jobs == read.size)
+    assert(first == read(q1, res).size)
+    assert(sparkJobs(Cajade.explain(db, q1, uq1, p)) == 0)
+    // Q_nba4's relations are among those Q_nba1's graphs read.
+    assert(sparkJobs(Cajade.explain(db, q, uq, params)) == 0)
+  }
+
+  test("4 threads explaining at once on a fresh database collect each relation once and agree") {
+    val p = Params(maxEdges = 1, maxJoinGraphs = 6, topK = 5, f1SampleRate = 0.3)
+    val single = Cajade.explain(nba, q, uq, p)
+    val db = nba.copy()
+    Enumerate.enumerate(db, q, p, single.perGraph.head._2.aptStats.rows)
+    val threads = 4
+    val results = new Array[Either[Throwable, Cajade.Result]](threads)
+    val jobs = sparkJobs {
+      // Created inside the count, so the threads inherit its job group.
+      val start = new CyclicBarrier(threads)
+      val workers = (0 until threads).map { t =>
+        new Thread(() => {
+          start.await()
+          results(t) = try Right(Cajade.explain(db, q, uq, p)) catch { case e: Throwable => Left(e) }
+        })
+      }
+      workers.foreach(_.start())
+      workers.foreach(_.join())
+    }
+    results.foreach(r => assert(r.map(answer) == Right(answer(single))))
+    assert(jobs == read(q, single).size)
   }
 }

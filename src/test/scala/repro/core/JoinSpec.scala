@@ -22,8 +22,6 @@ class JoinSpec extends SparkSpec {
 
   /** Every graph of λ_#edges ≤ 3 is enumerated and mined. */
   private val deep = Params(maxEdges = 3, maxJoinGraphs = 100000, qCostThreshold = Double.MaxValue, f1SampleRate = 0.3)
-  /** Ω₀ only: the query's relations are collected restricted. */
-  private val ptOnly = deep.copy(maxJoinGraphs = 1)
 
   /** The rows of `t` as (grp, the join key of each cell): `Double`s by
     * their normalized bits, strings as strings, null as null.
@@ -41,13 +39,17 @@ class JoinSpec extends SparkSpec {
     assert(rows(driver) == rows(spark), what)
   }
 
-  /** The PT of `uq` built on the driver, with and without restricted
-    * collects, against Spark's.
+  /** The PT of each of `questions` built on the driver against Spark's:
+    * on `db` once it has answered all of them, and on a fresh copy of
+    * `db`. No question's rows leak into the relations a database holds.
     */
-  private def checkPt(db: Database, q: QuerySpec, uq: UserQuestion): Unit = {
-    val reference = sparkTable(Query.questionProvenance(db, q, uq))
-    for (p <- Seq(deep, ptOnly))
-      assertSame(Join.Apts(db, q, uq, p).pt, reference, s"${q.name} $uq maxJoinGraphs=${p.maxJoinGraphs}")
+  private def checkPts(db: Database, questions: Seq[(QuerySpec, UserQuestion)]): Unit = {
+    questions.foreach { case (q, uq) => Join.Apts(db, q, uq, deep) }
+    questions.foreach { case (q, uq) =>
+      val reference = sparkTable(Query.questionProvenance(db, q, uq))
+      assertSame(Join.Apts(db, q, uq, deep).pt, reference, s"${q.name} $uq")
+      assertSame(Join.Apts(db.copy(), q, uq, deep).pt, reference, s"${q.name} $uq on a fresh copy")
+    }
   }
 
   /** The APT of each graph of `only`, or else of every graph enumerated
@@ -70,16 +72,14 @@ class JoinSpec extends SparkSpec {
   }
 
   test("the driver PT equals Spark's for every NBA and MIMIC question of Tables 4 and 6") {
-    Tables.nbaCases.foreach { case (q, s1, s2, _) =>
+    checkPts(nba, Tables.nbaCases.flatMap { case (q, s1, s2, _) =>
       val uq = Nba.seasonQuestion(q, s1, s2)
-      checkPt(nba, q, uq)
-      checkPt(nba, q, SinglePoint(uq.t1))
-    }
-    Tables.mimicCases.foreach { case (q, v1, v2, _) =>
+      Seq(q -> uq, q -> SinglePoint(uq.t1))
+    })
+    checkPts(mimic, Tables.mimicCases.flatMap { case (q, v1, v2, _) =>
       val uq = Mimic.question(q, v1, v2)
-      checkPt(mimic, q, uq)
-      checkPt(mimic, q, SinglePoint(uq.t1))
-    }
+      Seq(q -> uq, q -> SinglePoint(uq.t1))
+    })
   }
 
   test("the driver APT equals Spark's for every graph of UQ₁ at λ_#edges = 3") {
@@ -145,8 +145,8 @@ class JoinSpec extends SparkSpec {
   private val xy = TwoPoint(Map("prov_r_g" -> "x"), Map("prov_r_g" -> "y"))
 
   test("NULL never matches, and Int, Double and string keys join as in Spark") {
-    for (q <- Seq(byG, withC1); uq <- Seq(xy, SinglePoint(Map("prov_r_g" -> "y")))) checkPt(keyed, q, uq)
-    checkPt(keyed, sameKeys, SinglePoint(Map("prov_c_tag" -> "same")))
+    checkPts(keyed, for (q <- Seq(byG, withC1); uq <- Seq(xy, SinglePoint(Map("prov_r_g" -> "y")))) yield q -> uq)
+    checkPts(keyed, Seq(sameKeys -> SinglePoint(Map("prov_c_tag" -> "same"))))
     assert(Join.Apts(keyed, sameKeys, SinglePoint(Map("prov_c_tag" -> "same")), deep).pt.rows == 2)
     val n = checkApts(keyed, byG, xy)
     assert(n > 20)
