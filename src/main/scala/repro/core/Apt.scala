@@ -60,7 +60,7 @@ object Apt {
   }
 
   /** The Spark join condition for one join-graph edge. */
-  def edgeCondition(q: Query.QuerySpec, e: Schema.JGEdge): Column =
+  private def edgeCondition(q: Query.QuerySpec, e: Schema.JGEdge): Column =
     e.cond.pairs.map { case (fa, ta) =>
       col(colName(q, e.fromNode, e.queryAlias, fa)) === col(colName(q, e.toNode, None, ta))
     }.reduce(_ && _)

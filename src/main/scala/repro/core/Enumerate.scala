@@ -16,34 +16,20 @@ object Enumerate {
   /** Cheap cardinality model replacing the DBMS optimizer estimate: the
     * expected APT size is |PT| times the fan-out of every node-adding join,
     * where fan-out of joining into relation S on attributes A is
-    * |S| / ndv(S, A). Relation sizes and NDVs are computed once and cached;
-    * `enumerate` uses the one model of each database, `db.costModel`.
+    * |S| / ndv(S, A). Both are read off the relations `db` holds
+    * ([[Schema.Database.relations]]): ndv(S, A) is the exact number of
+    * non-null keys of S's index on A (at least 1), the index [[Join.Apts]]
+    * probes when it adds the node.
     */
   final class CostModel(db: Database) {
-    private val rowCounts = scala.collection.mutable.Map.empty[String, Long]
-    private val ndvCache = scala.collection.mutable.Map.empty[(String, Seq[String]), Long]
-
-    def rows(rel: String): Long = synchronized {
-      rowCounts.getOrElseUpdate(rel, db(rel).count())
-    }
-
-    def ndv(rel: String, attrs: Seq[String]): Long = synchronized {
-      ndvCache.getOrElseUpdate((rel, attrs.sorted), {
-        import org.apache.spark.sql.functions.{approx_count_distinct, concat_ws, col}
-        val c = db(rel).agg(approx_count_distinct(concat_ws("§", attrs.map(col): _*))).head().getLong(0)
-        math.max(1L, c)
-      })
-    }
-
     /** Estimated APT rows for `jg` given |PT| = ptRows. */
     def estimate(jg: JoinGraph, ptRows: Long): Double = {
       var seen = Set(0)
       var est = ptRows.toDouble
       jg.edges.foreach { e =>
         if (!seen(e.toNode)) {
-          val rel = jg.relOf(e.toNode)
-          val toAttrs = e.cond.pairs.map(_._2)
-          est *= rows(rel).toDouble / ndv(rel, toAttrs)
+          val rel = db.relations(jg.relOf(e.toNode))
+          est *= rel.rows.toDouble / math.max(1, rel.index(e.cond.pairs.map(_._2)).size)
           seen += e.toNode
         }
         // Parallel edges between existing nodes only filter — estimate is
@@ -114,7 +100,7 @@ object Enumerate {
     */
   def enumerate(db: Database, q: Query.QuerySpec, params: Params, ptRows: Long): Seq[JoinGraph] = {
     val sg = db.schemaGraph
-    val cost = db.costModel
+    val cost = new CostModel(db)
     val seen = scala.collection.mutable.Set.empty[String]
     val out = scala.collection.mutable.ArrayBuffer[JoinGraph](JoinGraph.empty)
     var prev: Seq[JoinGraph] = Seq(JoinGraph.empty)

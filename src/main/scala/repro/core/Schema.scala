@@ -115,13 +115,9 @@ object Schema {
   final case class Database(tables: Map[String, DataFrame], schemaGraph: SchemaGraph) {
     def apply(name: String): DataFrame = tables(name)
 
-    /** The statistics join-graph enumeration estimates with, gathered once
-      * per instance: a second `explain` on it runs no statistics job.
-      */
-    lazy val costModel: Enumerate.CostModel = new Enumerate.CostModel(this)
-
     /** The relations `explain` reads, each collected whole once per
-      * instance, on the first call that reads it: a later `explain` on it
+      * instance, on the first call that reads it: the PT, the APTs and the
+      * join-graph cost model all read them, so a later `explain` on it
       * launches no Spark job.
       */
     lazy val relations: Join.Relations = new Join.Relations(this)

@@ -78,9 +78,9 @@ object Tables {
   /** Paper Figure 7 (runtime-breakdown tables, NBA and MIMIC): per-step
     * seconds for λ_F1-samp ∈ {0.1, 0.3, 1.0} and the Naive (no feature
     * selection) configuration. One untimed call with the first
-    * configuration comes before them: it gathers the enumeration
-    * statistics and collects the relations every configuration reads, so
-    * every column measures the per-call work only, with no Spark job.
+    * configuration comes before them: it collects the relations every
+    * configuration reads, so every column measures the per-call work
+    * only, with no Spark job.
     */
   def figure7Breakdown(spark: SparkSession, dataset: String, sf: Double = 0.1,
                        maxEdges: Int = 1): Seq[String] = {
@@ -231,8 +231,7 @@ object Tables {
   /** Paper Figure 12 — runtime per workload query (compact λ_#edges=1
     * rendition; the paper's point is that runtime tracks the number of
     * join graphs). Each query is timed on its second call; the first
-    * gathers the enumeration statistics and collects the relations the
-    * database does not hold yet.
+    * collects the relations the database does not hold yet.
     */
   def figure12VaryingQueries(spark: SparkSession, sf: Double = 0.1): Seq[String] = {
     val nba = Nba.generate(spark, sf)

@@ -18,9 +18,9 @@ object Correlation {
   def association(sample: Metrics.Table, a: String, b: String): Double =
     (sample.isNumeric(a), sample.isNumeric(b)) match {
       case (true, true)   => math.abs(pearson(sample.doubles(a), sample.doubles(b)))
-      case (false, false) => cramersV(sample.stringValues(a), sample.stringValues(b))
-      case (true, false)  => correlationRatio(sample.stringValues(b), sample.doubles(a))
-      case (false, true)  => correlationRatio(sample.stringValues(a), sample.doubles(b))
+      case (false, false) => cramersV(sample.codes(a), sample.codes(b))
+      case (true, false)  => correlationRatio(sample.codes(b), sample.strings(b), sample.doubles(a))
+      case (false, true)  => correlationRatio(sample.codes(a), sample.strings(a), sample.doubles(b))
     }
 
   def pearson(xs: collection.Seq[Double], ys: collection.Seq[Double]): Double = {
@@ -35,42 +35,59 @@ object Correlation {
     if (sxx <= 0 || syy <= 0) 0.0 else sxy / math.sqrt(sxx * syy)
   }
 
-  /** Cramér's V from the contingency table of two categorical columns. */
-  def cramersV(xs: collection.Seq[String], ys: collection.Seq[String]): Double = {
-    val pairs = xs.zip(ys).filter { case (a, b) => a != null && b != null }
-    val n = pairs.size
+  /** Cramér's V from the contingency table of two categorical columns,
+    * given as dictionary codes (-1 for null).
+    */
+  def cramersV(xs: Array[Int], ys: Array[Int]): Double = {
+    val rows = Array.range(0, xs.length).filter(i => xs(i) >= 0 && ys(i) >= 0)
+    val n = rows.length
     if (n < 3) return 0.0
-    val xCats = pairs.map(_._1).distinct
-    val yCats = pairs.map(_._2).distinct
-    if (xCats.size < 2 || yCats.size < 2) return 0.0
-    val obs = pairs.groupBy(identity).map { case (k, v) => k -> v.size.toDouble }
-    val xTot = pairs.groupBy(_._1).map { case (k, v) => k -> v.size.toDouble }
-    val yTot = pairs.groupBy(_._2).map { case (k, v) => k -> v.size.toDouble }
+    val (x, nx) = categories(rows.map(xs))
+    val (y, ny) = categories(rows.map(ys))
+    if (nx < 2 || ny < 2) return 0.0
+    val (obs, xTot, yTot) = (new Array[Int](nx * ny), new Array[Int](nx), new Array[Int](ny))
+    x.indices.foreach { r => obs(x(r) * ny + y(r)) += 1; xTot(x(r)) += 1; yTot(y(r)) += 1 }
+    // Every category occurs, so each expected count e is positive.
     var chi2 = 0.0
-    for (x <- xCats; y <- yCats) {
-      val e = xTot(x) * yTot(y) / n
-      val o = obs.getOrElse((x, y), 0.0)
-      if (e > 0) chi2 += (o - e) * (o - e) / e
+    for (i <- 0 until nx; j <- 0 until ny) {
+      val e = xTot(i).toDouble * yTot(j) / n
+      val o = obs(i * ny + j).toDouble
+      chi2 += (o - e) * (o - e) / e
     }
-    val k = math.min(xCats.size, yCats.size) - 1
-    if (k <= 0) 0.0 else math.min(1.0, math.sqrt(chi2 / (n * k)))
+    math.min(1.0, math.sqrt(chi2 / (n * (math.min(nx, ny) - 1))))
   }
 
   /** Correlation ratio η: how much of the numeric variance the categories
-    * explain — the standard mixed-pair association.
+    * explain — the standard mixed-pair association. `cats` are dictionary
+    * codes (-1 for null) into `strings`, `nums` NaN for null.
     */
-  def correlationRatio(cats: collection.Seq[String], nums: collection.Seq[Double]): Double = {
-    val pairs = cats.zip(nums).filter { case (c, v) => c != null && !v.isNaN }
-    val n = pairs.size
+  def correlationRatio(cats: Array[Int], strings: Array[String], nums: Array[Double]): Double = {
+    val rows = Array.range(0, cats.length).filter(i => cats(i) >= 0 && !nums(i).isNaN)
+    val n = rows.length
     if (n < 3) return 0.0
-    val mean = pairs.map(_._2).sum / n
-    val ssTot = pairs.map(p => (p._2 - mean) * (p._2 - mean)).sum
+    val vs = rows.map(nums)
+    val mean = vs.foldLeft(0.0)(_ + _) / n
+    val ssTot = vs.foldLeft(0.0)((s, v) => s + (v - mean) * (v - mean))
     if (ssTot <= 0) return 0.0
-    val ssBetween = pairs.groupBy(_._1).values.map { g =>
-      val m = g.map(_._2).sum / g.size
-      g.size * (m - mean) * (m - mean)
-    }.sum
+    val (count, sum) = (new Array[Int](strings.length), new Array[Double](strings.length))
+    rows.indices.foreach { r => count(cats(rows(r))) += 1; sum(cats(rows(r))) += vs(r) }
+    // Groups are summed in the order a HashMap keyed by their strings
+    // visits them; the last bits depend on it, and FrontEndSpec pins them.
+    val groups = scala.collection.immutable.HashMap.from(strings.indices.filter(count(_) > 0).map(c => strings(c) -> c))
+    val ssBetween = groups.valuesIterator.foldLeft(0.0) { (s, c) =>
+      val m = sum(c) / count(c)
+      s + count(c) * (m - mean) * (m - mean)
+    }
     math.sqrt(math.min(1.0, ssBetween / ssTot))
+  }
+
+  /** The non-negative `codes` numbered by first appearance, and how many
+    * distinct codes there are.
+    */
+  private def categories(codes: Array[Int]): (Array[Int], Int) = {
+    val number = Array.fill(codes.foldLeft(0)(math.max) + 1)(-1)
+    var k = 0
+    (codes.map { c => if (number(c) < 0) { number(c) = k; k += 1 }; number(c) }, k)
   }
 
   /** Single-link clusters of the sample's attributes `attrs` whose

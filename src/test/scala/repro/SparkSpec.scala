@@ -1,11 +1,12 @@
 package repro
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import perfbench.JobLog
+import scala.jdk.CollectionConverters._
 
 /** Base for every Spark test: one local-mode SparkSession for the whole run.
   *
@@ -19,18 +20,26 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   override def afterAll(): Unit = { super.afterAll() }
 
-  /** Spark jobs launched by `f`: jobs of the job group set around `f`,
-    * counted up to a sentinel job, since the listener bus delivers events
-    * in order.
+  /** Spark jobs launched by `f`. */
+  def sparkJobs(f: => Unit): Int = sparkJobFiles(f).size
+
+  /** The program file that launched each Spark job of `f`, in the order
+    * the jobs started: as `perfbench.JobLog` attributes a job, the file of
+    * the first `repro.` frame of its call site (e.g. `Join`), or the call
+    * site itself when it has none. Jobs of the job group set around `f`
+    * are recorded up to a sentinel job, since the listener bus delivers
+    * events in order.
     */
-  def sparkJobs(f: => Unit): Int = {
+  def sparkJobFiles(f: => Unit): Seq[String] = {
     val sc = spark.sparkContext
-    val counted = new AtomicInteger
+    val files = new ConcurrentLinkedQueue[String]
     val drained = new CountDownLatch(1)
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
-          case "counted"  => counted.incrementAndGet()
+          case "counted"  =>
+            val site = e.stageInfos.map(_.details).mkString("\n")
+            files.add(JobLog.programFile(site).getOrElse(site))
           case "sentinel" => drained.countDown()
           case _          =>
         }
@@ -42,7 +51,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       sc.setJobGroup("sentinel", "end of count")
       try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
       assert(drained.await(30, TimeUnit.SECONDS))
-      counted.get
+      files.asScala.toSeq
     } finally sc.removeSparkListener(listener)
   }
 }

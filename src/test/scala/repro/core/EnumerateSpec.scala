@@ -102,17 +102,34 @@ class EnumerateSpec extends SparkSpec {
     val jg = JoinGraph(
       Vector(JGNode(0, "PT"), JGNode(1, "team")),
       Vector(JGEdge(0, 1, Some("g"), JoinCond(Seq("winner_id" -> "team_id")))))
-    // team joined on its key: fan-out ≈ 1 → estimate ≈ |PT|.
-    val est = cm.estimate(jg, ptRows = 100)
-    assert(est > 50 && est < 200)
+    // team joined on its key: fan-out exactly 1, so the estimate is |PT|.
+    assert(cm.estimate(jg, ptRows = 100) == 100.0)
   }
   test("cost model: non-key joins blow up the estimate") {
     val cm = new Enumerate.CostModel(nba)
     val jg = JoinGraph(
       Vector(JGNode(0, "PT"), JGNode(1, "player_game_stats")),
       Vector(JGEdge(0, 1, Some("g"), JoinCond(Seq("game_date" -> "game_date", "home_id" -> "home_id")))))
+    val pgs = nba.relations("player_game_stats")
+    val ndv = (0 until pgs.rows).map(i => Seq(pgs("game_date").key(i), pgs("home_id").key(i)))
+      .filterNot(_.contains(null)).distinct.size
+    assert(cm.estimate(jg, 100) == 100 * (pgs.rows.toDouble / ndv))
     // ~16 player rows per game → estimate well above |PT|.
     assert(cm.estimate(jg, 100) > 500)
+  }
+  test("cost model: a null key is no distinct value, and an empty relation has one") {
+    import spark.implicits._
+    val db = Database(Map(
+      "s" -> Seq(Some(1), Some(1), Some(2), None).toDF("k"),
+      "t" -> Seq((Some(1), Some(1)), (Some(1), None), (Some(2), Some(2))).toDF("k", "j"),
+      "e" -> Seq.empty[Option[Int]].toDF("k")), sgSmall)
+    val cm = new Enumerate.CostModel(db)
+    def into(rel: String, cond: (String, String)*) = JoinGraph(
+      Vector(JGNode(0, "PT"), JGNode(1, rel)), Vector(JGEdge(0, 1, Some("r1"), JoinCond(cond))))
+    // 4 rows over the keys 1 and 2; 3 rows over (1, 1) and (2, 2).
+    assert(cm.estimate(into("s", "k" -> "k"), 10) == 20.0)
+    assert(cm.estimate(into("t", "k" -> "k", "k" -> "j"), 10) == 15.0)
+    assert(cm.estimate(into("e", "k" -> "k"), 10) == 0.0)
   }
 
   test("enumerate produces Ω₀ first and respects maxEdges") {

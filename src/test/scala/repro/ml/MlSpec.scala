@@ -88,6 +88,13 @@ class MlSpec extends SparkSpec {
 
   // ---- association measures ----------------------------------------------
 
+  /** `xs` as a sample's string column: its dictionary codes, and the
+    * dictionary.
+    */
+  private def codes(xs: Seq[String]): Array[Int] = column(xs).codes("c")
+  private def strings(xs: Seq[String]): Array[String] = column(xs).strings("c")
+  private def column(xs: Seq[String]): Metrics.Table = TestData.sample(Seq("c" -> false), xs.map(x => (Seq(x), 0)))
+
   test("pearson of a perfect linear relation is ±1") {
     val xs = Vector.tabulate(50)(_.toDouble)
     assert(math.abs(Correlation.pearson(xs, xs.map(2 * _ + 3)) - 1.0) < 1e-9)
@@ -106,24 +113,24 @@ class MlSpec extends SparkSpec {
   }
   test("cramersV of identical columns is 1") {
     val xs = Vector.tabulate(60)(i => s"c${i % 3}")
-    assert(Correlation.cramersV(xs, xs) > 0.99)
+    assert(Correlation.cramersV(codes(xs), codes(xs)) > 0.99)
   }
   test("cramersV of independent columns is near 0") {
     val rnd = new Random(5)
     val xs = Vector.fill(600)(s"a${rnd.nextInt(3)}")
     val ys = Vector.fill(600)(s"b${rnd.nextInt(3)}")
-    assert(Correlation.cramersV(xs, ys) < 0.15)
+    assert(Correlation.cramersV(codes(xs), codes(ys)) < 0.15)
   }
   test("correlationRatio detects category-determined numerics") {
     val cats = Vector.tabulate(100)(i => s"g${i % 4}")
     val nums = cats.map(c => c.drop(1).toDouble * 10)
-    assert(Correlation.correlationRatio(cats, nums) > 0.99)
+    assert(Correlation.correlationRatio(codes(cats), strings(cats), nums.toArray) > 0.99)
   }
   test("correlationRatio of unrelated pairs is small") {
     val rnd = new Random(7)
     val cats = Vector.fill(500)(s"g${rnd.nextInt(4)}")
     val nums = Vector.fill(500)(rnd.nextGaussian())
-    assert(Correlation.correlationRatio(cats, nums) < 0.2)
+    assert(Correlation.correlationRatio(codes(cats), strings(cats), nums.toArray) < 0.2)
   }
 
   test("clustering groups the birth-date/age style duplicates") {
