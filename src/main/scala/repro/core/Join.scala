@@ -112,7 +112,14 @@ object Join {
         case None =>
           val (l, r) = (from.map(parent.column), to.map(parent.column))
           checkKeys(from.zip(to), l, r)
-          parent.gather((0 until parent.rows).filter { i => val k = key(l, i); k != null && k == key(r, i) }.toArray, Nil)
+          val kept = new mutable.ArrayBuilder.ofInt
+          var i = 0
+          while (i < parent.rows) {
+            val k = key(l, i)
+            if (k != null && k == key(r, i)) kept += i
+            i += 1
+          }
+          parent.gather(kept.result(), Nil)
         case Some(node) =>
           val rel = relations(jg.relOf(node))
           val (known, fresh) =
@@ -154,9 +161,9 @@ object Join {
     if (params.f1SampleRate >= 1.0) flags.set(0, pt.rows)
     else {
       val cut = (params.f1SampleRate * 10000).toInt
-      pt.rowHashes(pt.names, params.seed.toInt, 0, pt.rows).zipWithIndex.foreach { case (h, i) =>
-        if (Math.floorMod(h, 10000) < cut) flags.set(i)
-      }
+      val hashes = pt.rowHashes(pt.names, params.seed.toInt, 0, pt.rows)
+      var i = 0
+      while (i < hashes.length) { if (Math.floorMod(hashes(i), 10000) < cut) flags.set(i); i += 1 }
     }
     flags
   }
@@ -199,7 +206,7 @@ object Join {
       }
       val (p, m) = probe(n, i => key(left.map { case (c, rs) => c.key(rs(i)) }),
         r.index(joins.map(_._3)), kept.get)
-      rows = rows.map { case (b, rs) => b -> p.map(rs) } + (al -> m)
+      rows = rows.map { case (b, rs) => b -> Metrics.gather(rs, p) } + (al -> m)
       rel(al) = r
       n = p.length
     }
@@ -222,11 +229,17 @@ object Join {
       case Query.TwoPoint(_, t2) => matches(t2)
       case Query.SinglePoint(_) => _ => true
     }
-    val (t1, rest) = (0 until n).filter(selfJoined).partition(isT1)
-    val ptRows = (t1 ++ rest.filter(isT2)).toArray
-    new Table(Array.tabulate(ptRows.length)(_.toLong), t1.size,
+    val t1, t2 = new mutable.ArrayBuilder.ofInt
+    var i = 0
+    while (i < n) {
+      if (selfJoined(i)) { if (isT1(i)) t1 += i else if (isT2(i)) t2 += i }
+      i += 1
+    }
+    val t1Rows = t1.length
+    val ptRows = (t1 ++= t2.result()).result()
+    new Table(Metrics.ordinals(ptRows.length), t1Rows,
       q.tables.toVector.flatMap { case (_, al) =>
-        val rs = ptRows.map(rows(al))
+        val rs = Metrics.gather(rows(al), ptRows)
         rel(al).names.map(a => q.provCol(al, a) -> rel(al)(a).subset(rs))
       }, new BitSet)
   }

@@ -14,7 +14,7 @@ import scala.collection.mutable
   */
 object Lca {
 
-  /** Sample-row pairs examined at most per call. */
+  /** Sample-row pairs that the candidates are generated from, at most. */
   private val MaxPairs = 250000L
 
   /** Generates distinct candidate patterns from the sample over the given
@@ -24,14 +24,19 @@ object Lca {
     * candidates within the k_cat-style size limit of Algorithm 1.
     *
     * When the sample has more than `MaxPairs` pairs, every pair among m of
-    * its rows is examined, m(m−1)/2 ≤ `MaxPairs` as large as can be: the
+    * its rows is counted, m(m−1)/2 ≤ `MaxPairs` as large as can be: the
     * first ⌈m·nₜ/n⌉ of the nₜ rows of each question tuple, which the
     * sample holds in its seeded rank order. So t2's agreements are
     * generated as t1's are.
     *
-    * Values are compared as the sample table's dictionary codes, and each
-    * pair's agreement is counted at a node of a trie over (attribute, code)
-    * steps taken in attribute-name order, so a `Pattern` is built once per
+    * Values are compared as the sample table's dictionary codes. A pair's
+    * agreement, and so its candidate, depends only on the two rows' code
+    * vectors over the attributes, so the rows are grouped by code vector
+    * and each pair of distinct vectors u ≤ v is met once, weighted by the
+    * mult(u)·mult(v) row pairs it stands for, or C(mult(u), 2) when u = v;
+    * the cost is O(rows·k + D²·k) for D distinct vectors. The weighted
+    * agreement is counted at a node of a trie over (attribute, code) steps
+    * taken in attribute-name order, so a `Pattern` is built once per
     * distinct candidate rather than once per pair.
     */
   def candidates(sample: Metrics.Table, catAttrs: Seq[String], maxPreds: Int): Seq[Pattern.Pattern] = {
@@ -80,39 +85,43 @@ object Lca {
         Array.range(0, first(n1)) ++ Array.range(n1, n1 + first(n - n1))
       }
     }
+    val (vecs, mult) = distinctVectors(codes, rows)
+    val d = mult.length
     val agree = new Array[Int](k)
-    var x = 0
-    while (x < rows.length) {
-      val i = rows(x)
-      var y = x + 1
-      while (y < rows.length) {
-        val j = rows(y)
+    var u = 0
+    while (u < d) {
+      var v = u
+      while (v < d) {
+        // The pairs of one row of u and one of v, or of two rows of u.
+        val pairs = if (u == v) mult(u) * (mult(u) - 1) / 2 else mult(u) * mult(v)
         var m = 0
-        var a = 0
-        while (a < k) {
-          val c = codes(a)(i)
-          if (c >= 0 && c == codes(a)(j)) { agree(m) = a; m += 1 }
-          a += 1
+        if (pairs > 0) {
+          var a = 0
+          while (a < k) {
+            val c = vecs(u * k + a)
+            if (c >= 0 && c == vecs(v * k + a)) { agree(m) = a; m += 1 }
+            a += 1
+          }
         }
         if (m > 0) {
           if (m > maxPreds) {
-            sortPrefix(agree, m, a => freq(a)(codes(a)(i)))
+            sortPrefix(agree, m, a => freq(a)(vecs(u * k + a)))
             m = math.max(maxPreds, 0)
           }
           sortPrefix(agree, m, nameRank)
           var node = 0
           var t = 0
           while (t < m) {
-            val s = codes(agree(t))(i) * k + agree(t)
+            val s = vecs(u * k + agree(t)) * k + agree(t)
             val from = node
             node = child.getOrElseUpdate((from.toLong << 32) | s, newNode(from, s))
             t += 1
           }
-          count(node) += 1
+          count(node) += pairs
         }
-        y += 1
+        v += 1
       }
-      x += 1
+      u += 1
     }
 
     def pattern(v: Int): Pattern.Pattern = {
@@ -126,6 +135,45 @@ object Lca {
       .map { v => val p = pattern(v); (p, count(v), p.render) }
       .sortBy { case (_, c, r) => (-c, r) }
       .map(_._1)
+  }
+
+  /** The distinct vectors of `codes` (one array per attribute) over
+    * `rows`, in order of first appearance, flattened `k` codes each, and
+    * how many of `rows` have each.
+    */
+  private def distinctVectors(codes: Array[Array[Int]], rows: Array[Int]): (Array[Int], Array[Int]) = {
+    val k = codes.length
+    // Open addressing: slot s holds 1 + the index of a distinct vector.
+    val slots = new Array[Int](Integer.highestOneBit(math.max(2 * rows.length, 1)) << 1)
+    val vecs = new Array[Int](rows.length * k)
+    val mult = new Array[Int](rows.length)
+    var d = 0
+    var x = 0
+    while (x < rows.length) {
+      val i = rows(x)
+      var h = 1
+      var a = 0
+      while (a < k) { h = 31 * h + codes(a)(i); a += 1 }
+      var s = scala.util.hashing.MurmurHash3.finalizeHash(h, k) & (slots.length - 1)
+      var found = -1
+      while (found < 0 && slots(s) != 0) {
+        val w = slots(s) - 1
+        var same = true
+        a = 0
+        while (same && a < k) { same = vecs(w * k + a) == codes(a)(i); a += 1 }
+        if (same) found = w else s = (s + 1) & (slots.length - 1)
+      }
+      if (found < 0) {
+        a = 0
+        while (a < k) { vecs(d * k + a) = codes(a)(i); a += 1 }
+        slots(s) = d + 1
+        found = d
+        d += 1
+      }
+      mult(found) += 1
+      x += 1
+    }
+    (java.util.Arrays.copyOf(vecs, d * k), java.util.Arrays.copyOf(mult, d))
   }
 
   /** Stably sorts `xs(0 until m)` by `key`; `m` is at most the number of

@@ -83,7 +83,7 @@ object Metrics {
       if (flags.cardinality == rows) this
       else {
         val keep = flags.stream().toArray
-        new Table(keep.map(ptIds), flags.get(0, t1Rows).cardinality,
+        new Table(Metrics.gather(ptIds, keep), flags.get(0, t1Rows).cardinality,
           columns.map { case (a, c) => a -> c.subset(keep) }, all(keep.length))
       }
 
@@ -97,8 +97,8 @@ object Metrics {
       * so t1's rows stay first and each PT tuple's rows adjacent.
       */
     private[core] def gather(rows: Array[Int], more: Seq[(String, Table.Col)]): Table =
-      new Table(rows.map(ptIds), rows.count(_ < t1Rows),
-        columns.map { case (a, c) => a -> c.subset(rows) } ++ more, mask(rows.map(flags.get)))
+      new Table(Metrics.gather(ptIds, rows), below(rows, t1Rows),
+        columns.map { case (a, c) => a -> c.subset(rows) } ++ more, Metrics.gather(flags, rows))
 
     /** The table whose row r is row `rows(r)` of this one, over the
       * columns `attrs` in that order; each row is flagged and its own PT
@@ -106,10 +106,9 @@ object Metrics {
       * of t1 must come first.
       */
     def select(rows: Array[Int], attrs: Seq[String]): Table = {
-      val t1 = rows.count(_ < t1Rows)
-      require(rows.iterator.drop(t1).forall(_ >= t1Rows), "the rows of t1 must come first")
-      new Table(Array.tabulate(rows.length)(_.toLong), t1, attrs.map(a => a -> column(a).subset(rows)).toVector,
-        all(rows.length))
+      val t1 = below(rows, t1Rows)
+      require(below(rows, t1Rows, from = t1) == 0, "the rows of t1 must come first")
+      new Table(ordinals(rows.length), t1, attrs.map(a => a -> column(a).subset(rows)).toVector, all(rows.length))
     }
 
     /** This table with `flags` as its λ_F1-samp flags. */
@@ -120,7 +119,11 @@ object Metrics {
 
     /** The numeric column `attr`, one `Double` per row, NaN for null. */
     def doubles(attr: String): Array[Double] = column(attr) match {
-      case c: Table.NumCol => Array.tabulate(rows)(c.double)
+      case c: Table.NumCol =>
+        val out = new Array[Double](rows)
+        var i = 0
+        while (i < rows) { out(i) = c.double(i); i += 1 }
+        out
       case _ => throw new IllegalArgumentException(s"column $attr is not numeric")
     }
 
@@ -149,10 +152,13 @@ object Metrics {
       val cells = new Array[Int](cols.length)
       // Each row's hash in the high 32 bits and its offset in the low ones:
       // sorted, the rows of one hash are adjacent and in row order.
-      val byHash = Array.tabulate(until - from) { k =>
+      val byHash = new Array[Long](until - from)
+      var k = 0
+      while (k < byHash.length) {
         var j = 0
         while (j < cols.length) { cells(j) = cols(j).hash(from + k); j += 1 }
-        MurmurHash3.arrayHash(cells, seed).toLong << 32 | k
+        byHash(k) = MurmurHash3.arrayHash(cells, seed).toLong << 32 | k
+        k += 1
       }
       java.util.Arrays.sort(byHash)
       val out = new Array[Int](byHash.length)
@@ -258,8 +264,16 @@ object Metrics {
         * values held as their strings.
         */
       def apply(values: Array[Any], numeric: Boolean): Col =
-        if (numeric) NumCol(values.map(v => if (v == null) 0.0 else v.asInstanceOf[Number].doubleValue), mask(values.map(_ == null)))
-        else {
+        if (numeric) {
+          val doubles = new Array[Double](values.length)
+          val nulls = new BitSet(values.length)
+          var i = 0
+          while (i < values.length) {
+            if (values(i) == null) nulls.set(i) else doubles(i) = values(i).asInstanceOf[Number].doubleValue
+            i += 1
+          }
+          NumCol(doubles, nulls)
+        } else {
           val strings = values.map(v => if (v == null) null else v.toString)
           val dict = strings.filter(_ != null).distinct
           val code = dict.zipWithIndex.toMap
@@ -290,7 +304,7 @@ object Metrics {
         }
         out
       }
-      def subset(rows: Array[Int]): Col = NumCol(rows.map(values), mask(rows.map(nulls.get)))
+      def subset(rows: Array[Int]): Col = NumCol(gather(values, rows), gather(nulls, rows))
       def hash(i: Int): Int = double(i).##
       def key(i: Int): Any =
         if (nulls.get(i)) null else java.lang.Double.doubleToLongBits(values(i) + 0.0)
@@ -311,7 +325,7 @@ object Metrics {
         }
         out
       }
-      def subset(rows: Array[Int]): Col = StrCol(rows.map(codes), strings, dict)
+      def subset(rows: Array[Int]): Col = StrCol(gather(codes, rows), strings, dict)
       def hash(i: Int): Int = if (codes(i) < 0) 0 else strings(codes(i)).##
       def key(i: Int): Any = if (codes(i) < 0) null else strings(codes(i))
       def constant(v: String): Pattern.Value = Pattern.CatV(v)
@@ -324,10 +338,48 @@ object Metrics {
       if (x == y) 0 else java.lang.Double.compare(x, y)
   }
 
-  private def mask(bits: Array[Boolean]): BitSet = {
-    val b = new BitSet(bits.length)
-    bits.indices.foreach(i => if (bits(i)) b.set(i))
-    b
+  /** `xs(rows(r))` for each r, by primitive loops: the row gathers of
+    * [[Table]] and [[Join]].
+    */
+  private[core] def gather(xs: Array[Int], rows: Array[Int]): Array[Int] = {
+    val out = new Array[Int](rows.length)
+    var r = 0
+    while (r < rows.length) { out(r) = xs(rows(r)); r += 1 }
+    out
+  }
+  private def gather(xs: Array[Long], rows: Array[Int]): Array[Long] = {
+    val out = new Array[Long](rows.length)
+    var r = 0
+    while (r < rows.length) { out(r) = xs(rows(r)); r += 1 }
+    out
+  }
+  private def gather(xs: Array[Double], rows: Array[Int]): Array[Double] = {
+    val out = new Array[Double](rows.length)
+    var r = 0
+    while (r < rows.length) { out(r) = xs(rows(r)); r += 1 }
+    out
+  }
+  private def gather(bits: BitSet, rows: Array[Int]): BitSet = {
+    val out = new BitSet(rows.length)
+    var r = 0
+    while (r < rows.length) { if (bits.get(rows(r))) out.set(r); r += 1 }
+    out
+  }
+
+  /** How many of `rows`, from index `from` on, are below `n`. */
+  private def below(rows: Array[Int], n: Int, from: Int = 0): Int = {
+    var c = 0
+    var r = from
+    while (r < rows.length) { if (rows(r) < n) c += 1; r += 1 }
+    c
+  }
+
+  /** 0L until n. */
+  private[core] def ordinals(n: Int): Array[Long] = {
+    val out = new Array[Long](n)
+    var i = 0
+    while (i < n) { out(i) = i; i += 1 }
+    out
   }
 
   private def all(n: Int): BitSet = { val b = new BitSet(n); b.set(0, n); b }

@@ -154,11 +154,13 @@ object Mine {
     // Diverse top-k (Section 3.5) on the estimated scores. Patterns that
     // cover the entire provenance of BOTH tuples separate nothing — they
     // are tautologies like `flag<=1` — and are excluded.
-    val candidates = all.toSeq
-      .filter { case (p, qu) => !p.isEmpty && qu.recall >= params.recallThreshold }
-      .filterNot { case (_, qu) =>
-        qu.support1._1 == qu.support1._2 && qu.support2._1 == qu.support2._2 }
-    val picked = selectDiverse(candidates, params.topK)
+    val picked = timer.time("Diverse Top-k") {
+      val candidates = all.toSeq
+        .filter { case (p, qu) => !p.isEmpty && qu.recall >= params.recallThreshold }
+        .filterNot { case (_, qu) =>
+          qu.support1._1 == qu.support1._2 && qu.support2._1 == qu.support2._2 }
+      selectDiverse(candidates, params.topK)
+    }
 
     // …then exact re-scoring of just the winners on the full APT.
     val exact = timer.time("F-score Calc.") {
@@ -203,10 +205,15 @@ object Mine {
     if (numericAttrs.isEmpty) Map.empty
     else numericFragments(Metrics.Table.collect(apt, numericAttrs), numericAttrs, nFragments)
 
-  /** Greedy diverse selection by wscore (Section 3.5). */
+  /** Greedy diverse selection by wscore (Section 3.5), over the
+    * candidates in (−F, render, primary) order; each pattern is rendered
+    * once.
+    */
   def selectDiverse(cands: Seq[(Pattern.Pattern, Metrics.Quality)], k: Int): Seq[(Pattern.Pattern, Metrics.Quality)] = {
     val pool = scala.collection.mutable.ArrayBuffer(
-      cands.sortBy { case (p, qu) => (-qu.fscore, p.render, qu.primary) }
+      cands.map(c => (c, c._1.render))
+        .sortBy { case ((_, qu), render) => (-qu.fscore, render, qu.primary) }
+        .map(_._1)
         .distinctBy { case (p, qu) => (p, qu.primary) }: _*)
     val out = scala.collection.mutable.ArrayBuffer.empty[(Pattern.Pattern, Metrics.Quality)]
     while (out.size < k && pool.nonEmpty) {

@@ -93,7 +93,7 @@ object Tables {
       "fs-1.0" -> benchParams.copy(maxEdges = maxEdges, f1SampleRate = 1.0),
       "naive" -> benchParams.copy(maxEdges = maxEdges, f1SampleRate = 1.0, featureSelection = false))
     val steps = Seq("Feature Selection", "Gen. Pat. Cand.", "F-score Calc.",
-      "Materialize APTs", "Refine Patterns", "Sampling for F1", "JG Enum.")
+      "Materialize APTs", "Refine Patterns", "Diverse Top-k", "Sampling for F1", "JG Enum.")
     Cajade.explain(db, q, uq, configs.head._2)
     val timers = configs.map { case (name, p) =>
       val timer = new Mine.StepTimer

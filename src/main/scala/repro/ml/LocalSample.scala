@@ -32,9 +32,14 @@ object LocalSample {
       val take = if (want >= math.min(perGrp, 30)) want else math.min(perGrp, n)
       // A row's rank in the high 32 bits and its offset in the low ones, so
       // the sorted longs order rows by rank, then by offset.
-      val byRank = Array.tabulate(n)(k => rank(k).toLong << 32 | k)
+      val byRank = new Array[Long](n)
+      var k = 0
+      while (k < n) { byRank(k) = rank(k).toLong << 32 | k; k += 1 }
       java.util.Arrays.sort(byRank)
-      byRank.iterator.take(take).map(r => from + r.toInt).toArray
+      val kept = new Array[Int](math.min(take, n))
+      k = 0
+      while (k < kept.length) { kept(k) = from + byRank(k).toInt; k += 1 }
+      kept
     }
     table.select(group(0, table.t1Rows) ++ group(table.t1Rows, table.rows), attrCols)
   }

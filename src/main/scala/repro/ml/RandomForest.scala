@@ -35,47 +35,97 @@ object RandomForest {
     val n = sample.rows
     val attrs = sample.names
     val p = attrs.size
-    val labels = Array.tabulate(n)(i => if (i < sample.t1Rows) 0 else 1)
-    val columns = attrs.map(column(sample, _))
-    val imp = Array.fill(p)(0.0)
+    val labels = new Array[Int](n)
+    java.util.Arrays.fill(labels, sample.t1Rows, n, 1)
+    val columns = attrs.map(column(sample, _)).toArray
+    val imp = new Array[Double](p)
     val rnd = new Random(seed)
     val mtry = math.max(1, math.ceil(math.sqrt(p.toDouble)).toInt)
+    val order = new Array[Int](p)
+    val found = new Candidates
 
     // Greedy split search over a random feature subset; accumulates the
     // weighted impurity decrease of each chosen split into `imp`. The first
     // candidate of the highest gain wins.
     def grow(idx: Array[Int], depth: Int): Unit = {
       var c1 = 0
-      idx.foreach(i => c1 += labels(i))
+      var x = 0
+      while (x < idx.length) { c1 += labels(idx(x)); x += 1 }
       val c0 = idx.length - c1
       if (depth >= MaxDepth || idx.length < 2 * MinLeaf || c0 == 0 || c1 == 0) return
       val parentGini = gini(c0, c1)
       var bestF, bestKey = -1
       var bestGain = 0.0
-      rnd.shuffle(attrs.indices.toList).take(mtry).foreach { f =>
-        columns(f).splits(idx, labels) { (key, l, l1) =>
+      shuffle(rnd, order)
+      var o = 0
+      while (o < math.min(mtry, p)) {
+        val f = order(o)
+        columns(f).splits(idx, labels, found)
+        var c = 0
+        while (c < found.size) {
+          val l = found.left(c)
+          val l1 = found.leftT2(c)
           val r = idx.length - l
           val r1 = c1 - l1
           if (l >= MinLeaf && r >= MinLeaf) {
             val t = (l + r).toDouble
             val gain = parentGini - (l / t) * gini(l - l1, l1) - (r / t) * gini(r - r1, r1)
-            if (bestF < 0 || bestGain < gain) { bestF = f; bestKey = key; bestGain = gain }
+            if (bestF < 0 || bestGain < gain) { bestF = f; bestKey = found.key(c); bestGain = gain }
           }
+          c += 1
         }
+        o += 1
       }
       if (bestF >= 0 && bestGain > 1e-9) {
         imp(bestF) += bestGain * idx.length
-        val (l, r) = idx.partition(columns(bestF).left(bestKey))
-        grow(l, depth + 1)
-        grow(r, depth + 1)
+        val column = columns(bestF)
+        val l, r = new mutable.ArrayBuilder.ofInt
+        x = 0
+        while (x < idx.length) {
+          if (column.left(bestKey, idx(x))) l += idx(x) else r += idx(x)
+          x += 1
+        }
+        grow(l.result(), depth + 1)
+        grow(r.result(), depth + 1)
       }
     }
 
-    (0 until NTrees).foreach(_ => grow(Array.fill(n)(rnd.nextInt(n)), depth = 0))
+    var tree = 0
+    while (tree < NTrees) {
+      val idx = new Array[Int](n)
+      var x = 0
+      while (x < n) { idx(x) = rnd.nextInt(n); x += 1 }
+      grow(idx, depth = 0)
+      tree += 1
+    }
     val total = imp.sum
     attrs.zipWithIndex.map { case (a, i) =>
       a -> (if (total <= 0) 0.0 else imp(i) / total)
     }.toMap
+  }
+
+  /** Puts `0 until xs.length` into `xs` in the order that `rnd.shuffle`
+    * gives that range, with the same calls on `rnd`.
+    */
+  private def shuffle(rnd: Random, xs: Array[Int]): Unit = {
+    var i = 0
+    while (i < xs.length) { xs(i) = i; i += 1 }
+    var m = xs.length
+    while (m >= 2) {
+      val k = rnd.nextInt(m)
+      val t = xs(m - 1); xs(m - 1) = xs(k); xs(k) = t
+      m -= 1
+    }
+  }
+
+  /** The candidate splits of one column at one node: split c sends
+    * `left(c)` rows, `leftT2(c)` of them t2's, to the left, and `key(c)`
+    * is its key. At most 16 per search.
+    */
+  private final class Candidates {
+    val key, left, leftT2 = new Array[Int](16)
+    var size = 0
+    def add(k: Int, l: Int, l1: Int): Unit = { key(size) = k; left(size) = l; leftT2(size) = l1; size += 1 }
   }
 
   /** Gini impurity of `c0` t1 rows and `c1` t2 rows. */
@@ -112,48 +162,57 @@ object RandomForest {
     /** The node's distinct codes, in order of first appearance. */
     protected val present = new Array[Int](values)
 
-    /** Calls `consider(key, left rows, left t2 rows)` for each candidate
-      * split of the node's rows `idx`, in order.
+    /** Sets `out` to the candidate splits of the node's rows `idx`, in
+      * order.
       */
-    final def splits(idx: Array[Int], labels: Array[Int])(consider: (Int, Int, Int) => Unit): Unit = {
+    final def splits(idx: Array[Int], labels: Array[Int], out: Candidates): Unit = {
       var m = 0
-      idx.foreach { i =>
+      var x = 0
+      while (x < idx.length) {
+        val i = idx(x)
         val c = code(i)
         if (c >= 0) {
           if (rows(c) == 0) { present(m) = c; m += 1 }
           rows(c) += 1
           t2(c) += labels(i)
         }
+        x += 1
       }
-      candidates(m, consider)
-      (0 until m).foreach { k => rows(present(k)) = 0; t2(present(k)) = 0 }
+      out.size = 0
+      candidates(m, out)
+      var k = 0
+      while (k < m) { rows(present(k)) = 0; t2(present(k)) = 0; k += 1 }
     }
 
-    /** The candidates over the node's `m` distinct codes `present`. */
-    protected def candidates(m: Int, consider: (Int, Int, Int) => Unit): Unit
+    /** Adds the candidates over the node's `m` distinct codes `present`
+      * to `out`.
+      */
+    protected def candidates(m: Int, out: Candidates): Unit
 
     /** Whether sample row `i` goes left in the split of `key`. */
-    def left(key: Int)(i: Int): Boolean
+    def left(key: Int, i: Int): Boolean
   }
 
   /** `value <= threshold` (false for NaN) at up to 8 interior quantiles of
     * the node's distinct values; a key is the threshold's code.
     */
   private final class NumericColumn(code: Array[Int], values: Int) extends Column(code, values) {
-    protected def candidates(m: Int, consider: (Int, Int, Int) => Unit): Unit =
+    protected def candidates(m: Int, out: Candidates): Unit =
       if (m >= 2) {
         java.util.Arrays.sort(present, 0, m)
         var next, l, l1 = 0
-        (1 to 8).foreach { k =>
+        var k = 1
+        while (k <= 8) {
           val j = (m - 1) * k / 9
           if (j >= next) {
             while (next <= j) { l += rows(present(next)); l1 += t2(present(next)); next += 1 }
-            consider(present(j), l, l1)
+            out.add(present(j), l, l1)
           }
+          k += 1
         }
       }
 
-    def left(key: Int)(i: Int): Boolean = code(i) >= 0 && code(i) <= key
+    def left(key: Int, i: Int): Boolean = code(i) >= 0 && code(i) <= key
   }
 
   /** `value = v` for the node's 16 most frequent values v; a key is v's
@@ -165,12 +224,13 @@ object RandomForest {
     */
   private final class CategoricalColumn(code: Array[Int], strings: Array[String])
       extends Column(code, strings.length) {
-    protected def candidates(m: Int, consider: (Int, Int, Int) => Unit): Unit = {
+    protected def candidates(m: Int, out: Candidates): Unit = {
       val byString = mutable.HashMap.empty[String, Int]
-      (0 until m).foreach(k => byString.getOrElseUpdate(strings(present(k)), present(k)))
-      byString.toMap.values.toSeq.sortBy(c => -rows(c)).take(16).foreach(c => consider(c, rows(c), t2(c)))
+      var k = 0
+      while (k < m) { byString.getOrElseUpdate(strings(present(k)), present(k)); k += 1 }
+      byString.toMap.values.toSeq.sortBy(c => -rows(c)).take(16).foreach(c => out.add(c, rows(c), t2(c)))
     }
 
-    def left(key: Int)(i: Int): Boolean = code(i) == key
+    def left(key: Int, i: Int): Boolean = code(i) == key
   }
 }

@@ -59,6 +59,40 @@ class MetricsSpec extends SparkSpec {
     assert(intercept[IllegalArgumentException](t.select(Array(4, 0), Seq("cat"))).getMessage.contains("t1"))
   }
 
+  test("select, flagged and gather keep values, null bits and codes aligned") {
+    val ids = Array(1L, 1L, 2L, 3L, 10L, 11L)
+    val num = Array[Any](1.0, null, Double.NaN, -0.0, 0.0, 2.5)
+    val cat = Array[Any]("a", null, "b", "a", null, "c")
+    val t = Metrics.Table(ids, 4, Seq("num" -> num, "cat" -> cat), Set("num"))
+    val flags = new java.util.BitSet
+    Seq(0, 2, 3, 5).foreach(flags.set)
+    val pats = Seq(Pattern.empty, pA, pB, pLow, Pattern.of(Pred("num", OpEq, NumV(-0.0))),
+      Pattern.of(Pred("num", OpGe, NumV(1.0))), Pattern.of(Pred("cat", OpEq, CatV("a")), Pred("num", OpLe, NumV(0.0))))
+    // `got` against rows `rows` of `t`, built directly with PT tuples `ids`.
+    def same(got: Metrics.Table, rows: Array[Int], ids: Array[Long]): Unit = {
+      val want = Metrics.Table(ids, rows.count(_ < t.t1Rows), Seq("num" -> rows.map(num), "cat" -> rows.map(cat)), Set("num"))
+      assert(got.rows == rows.length && got.t1Rows == want.t1Rows)
+      val (Metrics.Table.NumCol(gotValues, gotNulls), Metrics.Table.NumCol(wantValues, wantNulls)) =
+        (got.column("num"), want.column("num")): @unchecked
+      assert(gotNulls == wantNulls)
+      rows.indices.filterNot(gotNulls.get).foreach { r =>
+        assert(java.lang.Double.doubleToRawLongBits(gotValues(r)) == java.lang.Double.doubleToRawLongBits(wantValues(r)), s"row $r")
+      }
+      assert(got.codes("cat").toSeq == rows.toSeq.map(t.codes("cat")) && (got.strings("cat") eq t.strings("cat")))
+      assert(got.stringValues("cat").toSeq == want.stringValues("cat").toSeq)
+      assert(got.coverage(pats) == want.coverage(pats))
+      assert(got.rowHashes(Seq("num", "cat"), 5, 0, got.rows).toSeq == want.rowHashes(Seq("num", "cat"), 5, 0, want.rows).toSeq)
+    }
+    val selected = Array(3, 1, 0, 3, 5, 4)
+    same(t.select(selected, Seq("num", "cat")), selected, Array.tabulate(selected.length)(_.toLong))
+    val kept = Array(0, 2, 3, 5)
+    same(t.withFlags(flags).flagged, kept, kept.map(ids))
+    val gathered = Array(1, 2, 4, 5)
+    val g = t.withFlags(flags).gather(gathered, Nil)
+    same(g, gathered, gathered.map(ids))
+    same(g.flagged, Array(2, 5), Array(2, 5).map(ids))
+  }
+
   test("provSizes counts distinct pt_ids per group") {
     val (n1, n2) = Metrics.provSizes(apt)
     assert(n1 == 3 && n2 == 2)

@@ -117,6 +117,26 @@ class MineSpec extends SparkSpec {
       assert(expected.nonEmpty)
       assert(Lca.candidates(s, attrs, maxPreds) == expected, s"rows=$n maxPreds=$maxPreds")
     }
+    // Samples of few distinct code vectors, each held by many rows, so
+    // that pairs of vectors are counted with large weights. `tied` gives
+    // attribute j of row i the value i mod period(j), so the values of an
+    // attribute are equally frequent and the truncation ties on frequency.
+    def tied(n: Int, period: Int => Int): Metrics.Table = TestData.sample(
+      names.map(_ -> false),
+      (0 until n).map(i => (names.indices.map[Any](j => "v" + i % period(j)), if (i % 3 == 0) 1 else 0)))
+    val duplicates = Seq(
+      // (name, sample, maxPreds)
+      ("900 rows, 1 value", sample(900, 1, 0.1), 3),       // more than 250 000 pairs
+      ("900 rows, 2 values", sample(900, 2, 0.0), 2),      // more than 250 000 pairs
+      ("2 vectors", tied(300, _ => 2), 2),
+      ("6 vectors", tied(900, j => 2 + j % 2), 1),         // more than 250 000 pairs
+    )
+    duplicates.foreach { case (name, s, maxPreds) =>
+      val attrs = rnd.shuffle(names).take(5) :+ "absent"
+      val expected = referenceCandidates(s, attrs, maxPreds)
+      assert(expected.nonEmpty)
+      assert(Lca.candidates(s, attrs, maxPreds) == expected, s"$name maxPreds=$maxPreds")
+    }
   }
 
   test("LCA over more than 250 000 pairs still pairs t2's rows") {
