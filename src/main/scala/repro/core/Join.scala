@@ -79,16 +79,18 @@ object Join {
     * keys included; mining projects them onto [[Apt.patternColumns]].
     */
   final class Apts private (val q: Query.QuerySpec, table: Table, relations: Relations, params: Params) {
-    val pt: Table = table.withFlags(f1Flags(table, params))
+    private val flags = f1Flags(table, params)
+    val pt: Table = table.withFlags(flags)
     private val memo = mutable.HashMap[Schema.JoinGraph, Table](Schema.JoinGraph.empty -> pt)
 
     /** |PT(t1)|, |PT(t2)| and their λ_F1-samp counterparts: the PT tuples,
-      * and the flagged PT tuples, of each group.
+      * and the flagged PT tuples, of each group. The PT has one row per PT
+      * tuple, so these are counts of its rows and of its flags.
       */
-    lazy val sizes: Mine.QuestionSizes = {
-      val Seq(all) = pt.coverage(Seq(Pattern.Pattern.empty))
-      val Seq(sampled) = pt.flagged.coverage(Seq(Pattern.Pattern.empty))
-      Mine.QuestionSizes(all.cov1, all.cov2, sampled.cov1, sampled.cov2)
+    val sizes: Mine.QuestionSizes = {
+      require((1 until pt.rows).forall(i => pt.ptIds(i) != pt.ptIds(i - 1)), "a PT has one row per pt_id")
+      val s1 = flags.get(0, pt.t1Rows).cardinality
+      Mine.QuestionSizes(pt.t1Rows, pt.rows - pt.t1Rows, s1, flags.cardinality - s1)
     }
 
     /** APT(Q, D, Ω) of the question's PT, with the rows and columns that
@@ -204,36 +206,55 @@ object Join {
       val kept = q.filters.filter(_.alias == al).foldLeft(all(r.rows)) { (b, f) =>
         b.and(equalTo(r(f.attr), f.value)); b
       }
-      val (p, m) = probe(n, i => key(left.map { case (c, rs) => c.key(rs(i)) }),
-        r.index(joins.map(_._3)), kept.get)
+      val leftKey: Int => Any = left match {
+        case Seq((c, rs)) => i => c.key(rs(i))
+        case _ => i => key(left.map { case (c, rs) => c.key(rs(i)) })
+      }
+      val (p, m) = probe(n, leftKey, r.index(joins.map(_._3)), Some(kept))
       rows = rows.map { case (b, rs) => b -> Metrics.gather(rs, p) } + (al -> m)
       rel(al) = r
       n = p.length
     }
 
     // The question: t1's rows, then t2's; other rows are not part of it.
-    // Conditions between two attributes of one alias filter its rows.
-    def matches(t: Map[String, String]): Int => Boolean = {
-      val tests = t.toSeq.map { case (c, v) =>
+    // Each is a mask of `long` words over the joined rows, built one column
+    // test at a time: the joined rows whose row of alias `al` is in `bits`.
+    def joinedIn(al: String, bits: BitSet): Array[Long] = {
+      val rs = rows(al)
+      val words = new Array[Long](Metrics.wordsOf(n))
+      var i = 0
+      while (i < n) { if (bits.get(rs(i))) words(i >>> 6) |= 1L << i; i += 1 }
+      words
+    }
+    def and(x: Array[Long], y: Array[Long]): Array[Long] = { var w = 0; while (w < x.length) { x(w) &= y(w); w += 1 }; x }
+    def matches(t: Map[String, String]): Array[Long] =
+      t.foldLeft(ones(n)) { case (m, (c, v)) =>
         val (al, a) = aliasOf(q, c)
-        val bits = equalTo(rel(al)(a), v)
-        (i: Int) => bits.get(rows(al)(i))
+        and(m, joinedIn(al, equalTo(rel(al)(a), v)))
       }
-      i => tests.forall(_(i))
+    // Conditions between two attributes of one alias filter its rows.
+    val selfJoined = q.joins.foldLeft(ones(n)) {
+      case (m, ((a1, c1), (a2, c2))) if a1 == a2 =>
+        val (x, y, rs) = (rel(a1)(c1), rel(a1)(c2), rows(a1))
+        val words = new Array[Long](Metrics.wordsOf(n))
+        var i = 0
+        while (i < n) { val k = x.key(rs(i)); if (k != null && k == y.key(rs(i))) words(i >>> 6) |= 1L << i; i += 1 }
+        and(m, words)
+      case (m, _) => m
     }
-    val selfJoined: Int => Boolean = i => q.joins.forall { case ((a1, c1), (a2, c2)) =>
-      a1 != a2 || { val k = rel(a1)(c1).key(rows(a1)(i)); k != null && k == rel(a1)(c2).key(rows(a1)(i)) }
-    }
-    val isT1 = matches(uq.tuples.head._2)
-    val isT2: Int => Boolean = uq match {
-      case Query.TwoPoint(_, t2) => matches(t2)
-      case Query.SinglePoint(_) => _ => true
+    val isT1 = and(matches(uq.tuples.head._2), selfJoined)
+    val isT2 = uq match {
+      case Query.TwoPoint(_, t2) => and(matches(t2), selfJoined)
+      case Query.SinglePoint(_) => selfJoined
     }
     val t1, t2 = new mutable.ArrayBuilder.ofInt
-    var i = 0
-    while (i < n) {
-      if (selfJoined(i)) { if (isT1(i)) t1 += i else if (isT2(i)) t2 += i }
-      i += 1
+    var w = 0
+    while (w < isT1.length) {
+      var b1 = isT1(w)
+      var b2 = isT2(w) & ~b1
+      while (b1 != 0) { t1 += w << 6 | java.lang.Long.numberOfTrailingZeros(b1); b1 &= b1 - 1 }
+      while (b2 != 0) { t2 += w << 6 | java.lang.Long.numberOfTrailingZeros(b2); b2 &= b2 - 1 }
+      w += 1
     }
     val t1Rows = t1.length
     val ptRows = (t1 ++= t2.result()).result()
@@ -279,15 +300,25 @@ object Join {
   }
 
   /** The pairs (i, j) of rows i < n of the left side and rows j of `index`
-    * under the key of i for which `keep` holds: in order of i, then of j.
+    * under the key of i that are in `keep` (all when it is empty): in order
+    * of i, then of j.
     */
   private def probe(n: Int, key: Int => Any, index: collection.Map[Any, Array[Int]],
-                    keep: Int => Boolean = _ => true): (Array[Int], Array[Int]) = {
+                    keep: Option[BitSet] = None): (Array[Int], Array[Int]) = {
+    val kept = keep.orNull
     val l, r = new mutable.ArrayBuilder.ofInt
     var i = 0
     while (i < n) {
       val k = key(i)
-      if (k != null) index.get(k).foreach(_.foreach { j => if (keep(j)) { l += i; r += j } })
+      if (k != null) {
+        val hits = index.getOrElse(k, Array.emptyIntArray)
+        var h = 0
+        while (h < hits.length) {
+          val j = hits(h)
+          if (kept == null || kept.get(j)) { l += i; r += j }
+          h += 1
+        }
+      }
       i += 1
     }
     (l.result(), r.result())
@@ -304,4 +335,12 @@ object Join {
     }
 
   private def all(n: Int): BitSet = { val b = new BitSet(n); b.set(0, n); b }
+
+  /** The `long` words of a bitset of `n` bits, all of them set. */
+  private def ones(n: Int): Array[Long] = {
+    val words = new Array[Long](Metrics.wordsOf(n))
+    java.util.Arrays.fill(words, -1L)
+    if ((n & 63) != 0) words(words.length - 1) = (1L << n) - 1
+    words
+  }
 }

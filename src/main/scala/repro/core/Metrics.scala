@@ -150,25 +150,22 @@ object Metrics {
     def rowHashes(attrs: Seq[String], seed: Int, from: Int, until: Int): Array[Int] = {
       val cols = attrs.toArray.map(column)
       val cells = new Array[Int](cols.length)
-      // Each row's hash in the high 32 bits and its offset in the low ones:
-      // sorted, the rows of one hash are adjacent and in row order.
-      val byHash = new Array[Long](until - from)
+      // An open-addressing table from each hash seen to how many rows of
+      // the range had it so far; a slot with a count of 0 is empty.
+      val mask = Integer.highestOneBit(math.max(1, until - from) * 2 - 1) * 2 - 1
+      val keys, counts = new Array[Int](mask + 1)
+      val out = new Array[Int](until - from)
       var k = 0
-      while (k < byHash.length) {
+      while (k < out.length) {
         var j = 0
         while (j < cols.length) { cells(j) = cols(j).hash(from + k); j += 1 }
-        byHash(k) = MurmurHash3.arrayHash(cells, seed).toLong << 32 | k
+        val h = MurmurHash3.arrayHash(cells, seed)
+        var s = MurmurHash3.finalizeHash(h, 0) & mask
+        while (counts(s) != 0 && keys(s) != h) s = (s + 1) & mask
+        keys(s) = h
+        out(k) = MurmurHash3.finalizeHash(MurmurHash3.mix(h, counts(s)), 1)
+        counts(s) += 1
         k += 1
-      }
-      java.util.Arrays.sort(byHash)
-      val out = new Array[Int](byHash.length)
-      var ordinal = 0
-      var r = 0
-      while (r < byHash.length) {
-        val h = (byHash(r) >> 32).toInt
-        ordinal = if (r > 0 && (byHash(r - 1) >> 32).toInt == h) ordinal + 1 else 0
-        out(byHash(r).toInt) = MurmurHash3.finalizeHash(MurmurHash3.mix(h, ordinal), 1)
-        r += 1
       }
       out
     }
@@ -288,20 +285,18 @@ object Metrics {
           case Pattern.NumV(d) => d
           case _ => throw new IllegalArgumentException(s"${p.render}: a string constant on a numeric column")
         }
-        val out = new BitSet(values.length)
+        val words = new Array[Long](wordsOf(values.length))
         var i = 0
-        while (i < values.length) {
-          if (!nulls.get(i)) {
-            val cmp = compare(values(i), c)
-            val hit = p.op match {
-              case Pattern.OpEq => cmp == 0
-              case Pattern.OpLe => cmp <= 0
-              case Pattern.OpGe => cmp >= 0
-            }
-            if (hit) out.set(i)
-          }
-          i += 1
+        p.op match {
+          case Pattern.OpEq =>
+            while (i < values.length) { if (compare(values(i), c) == 0) words(i >>> 6) |= 1L << i; i += 1 }
+          case Pattern.OpLe =>
+            while (i < values.length) { if (compare(values(i), c) <= 0) words(i >>> 6) |= 1L << i; i += 1 }
+          case Pattern.OpGe =>
+            while (i < values.length) { if (compare(values(i), c) >= 0) words(i >>> 6) |= 1L << i; i += 1 }
         }
+        val out = BitSet.valueOf(words)
+        out.andNot(nulls)
         out
       }
       def subset(rows: Array[Int]): Col = NumCol(gather(values, rows), gather(nulls, rows))
@@ -317,13 +312,10 @@ object Metrics {
           case (Pattern.OpEq, Pattern.CatV(s)) => dict.getOrElse(s, -2)
           case _ => throw new IllegalArgumentException(s"${p.render}: only = with a string constant applies to a string column")
         }
-        val out = new BitSet(codes.length)
+        val words = new Array[Long](wordsOf(codes.length))
         var i = 0
-        while (i < codes.length) {
-          if (codes(i) == code) out.set(i)
-          i += 1
-        }
-        out
+        while (i < codes.length) { if (codes(i) == code) words(i >>> 6) |= 1L << i; i += 1 }
+        BitSet.valueOf(words)
       }
       def subset(rows: Array[Int]): Col = StrCol(gather(codes, rows), strings, dict)
       def hash(i: Int): Int = if (codes(i) < 0) 0 else strings(codes(i)).##
@@ -383,6 +375,9 @@ object Metrics {
   }
 
   private def all(n: Int): BitSet = { val b = new BitSet(n); b.set(0, n); b }
+
+  /** The `long` words of a bitset of `n` bits. */
+  private[core] def wordsOf(n: Int): Int = (n + 63) >>> 6
 
   /** Derives precision/recall/F-score (Definition 7(e)) from coverage given
     * the provenance sizes and the chosen primary tuple.

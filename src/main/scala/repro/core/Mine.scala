@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.ml.LocalSample
+import scala.collection.mutable
 
 /** MineAPT (paper Algorithm 1): top-k pattern mining over one augmented
   * provenance table.
@@ -114,8 +115,16 @@ object Mine {
       numericFragments(evalTable, selected.numeric, params.nFragments)
     }
 
-    val all = scala.collection.mutable.ArrayBuffer.empty[(Pattern.Pattern, Metrics.Quality)]
-    catQuality.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
+    // The pool of diverse top-k (Section 3.5): the patterns evaluated, each
+    // in both orientations, that reach λ_recall. Patterns that cover the
+    // entire provenance of BOTH tuples separate nothing (tautologies like
+    // `flag<=1`) and are left out.
+    val pool = mutable.ArrayBuffer.empty[(Pattern.Pattern, Metrics.Quality)]
+    def addToPool(evaluated: Seq[(Pattern.Pattern, Metrics.Quality, Metrics.Quality)]): Unit =
+      for ((p, q1, q2) <- evaluated; qu <- Seq(q1, q2))
+        if (!p.isEmpty && qu.recall >= params.recallThreshold &&
+            !(qu.support1._1 == qu.support1._2 && qu.support2._1 == qu.support2._2)) pool += ((p, qu))
+    addToPool(catQuality)
 
     // Level-wise numeric refinement with monotonicity pruning: a pattern
     // whose recall is below λ_recall for both orientations cannot yield a
@@ -142,7 +151,7 @@ object Mine {
       val evaluated = timer.time("F-score Calc.") {
         evaluate(evalTable, expansions, en1, en2)
       }
-      evaluated.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
+      addToPool(evaluated)
       frontier = evaluated
         .filter { case (_, q1, q2) => q1.recall >= params.recallThreshold || q2.recall >= params.recallThreshold }
         .sortBy { case (_, q1, q2) => -math.max(q1.fscore, q2.fscore) }
@@ -151,16 +160,8 @@ object Mine {
       level += 1
     }
 
-    // Diverse top-k (Section 3.5) on the estimated scores. Patterns that
-    // cover the entire provenance of BOTH tuples separate nothing — they
-    // are tautologies like `flag<=1` — and are excluded.
-    val picked = timer.time("Diverse Top-k") {
-      val candidates = all.toSeq
-        .filter { case (p, qu) => !p.isEmpty && qu.recall >= params.recallThreshold }
-        .filterNot { case (_, qu) =>
-          qu.support1._1 == qu.support1._2 && qu.support2._1 == qu.support2._2 }
-      selectDiverse(candidates, params.topK)
-    }
+    // Diverse top-k on the estimated scores…
+    val picked = timer.time("Diverse Top-k") { selectDiverse(pool.toSeq, params.topK) }
 
     // …then exact re-scoring of just the winners on the full APT.
     val exact = timer.time("F-score Calc.") {
@@ -188,10 +189,20 @@ object Mine {
     * is left.
     */
   def numericFragments(table: Metrics.Table, numericAttrs: Seq[String], nFragments: Int): Map[String, Seq[Double]] = {
-    val cols = numericAttrs.map(table.doubles)
-    val kept = (0 until table.rows).filter(i => cols.forall(c => !c(i).isNaN)).toArray
+    val cols = numericAttrs.map(table.doubles).toArray
+    val keep = new mutable.ArrayBuilder.ofInt
+    var i = 0
+    while (i < table.rows) {
+      var j = 0
+      while (j < cols.length && !cols(j)(i).isNaN) j += 1
+      if (j == cols.length) keep += i
+      i += 1
+    }
+    val kept = keep.result()
     numericAttrs.zip(cols).map { case (a, c) =>
-      val sorted = kept.map(c)
+      val sorted = new Array[Double](kept.length)
+      var r = 0
+      while (r < kept.length) { sorted(r) = c(kept(r)); r += 1 }
       java.util.Arrays.sort(sorted)
       a -> (if (sorted.isEmpty) Nil
             else (1 until nFragments).map(f => sorted(math.ceil(f.toDouble / nFragments * sorted.length).toInt - 1)).distinct)
@@ -205,22 +216,69 @@ object Mine {
     if (numericAttrs.isEmpty) Map.empty
     else numericFragments(Metrics.Table.collect(apt, numericAttrs), numericAttrs, nFragments)
 
-  /** Greedy diverse selection by wscore (Section 3.5), over the
-    * candidates in (−F, render, primary) order; each pattern is rendered
-    * once.
+  /** Greedy diverse selection by wscore (Section 3.5): k rounds, each
+    * picking the first candidate of the highest wscore, F plus the lowest
+    * diversity to the picks so far, in (−F, render, primary) order, one
+    * candidate per (pattern, primary).
+    *
+    * A lazy greedy (Minoux, "Accelerated greedy algorithms…", 1978;
+    * Leskovec et al., "CELF", KDD 2007) with the same picks. Candidates are
+    * scanned in F order, stably, and a run of equal F is put in (render,
+    * primary) order only where two of its candidates tie for the best
+    * wscore: patterns are rendered only for that. Each candidate keeps its
+    * lowest diversity to the picks it has been compared with, brought up
+    * to date when a scan reaches it, and F plus that minimum bounds its
+    * wscore from above, as the minimum only falls. Diversity is at most 1,
+    * so a round's scan stops at the first candidate with F + 1 ≤ the best
+    * wscore so far (F ≤ it in the first round), unless it ties in the best
+    * one's run: no later one can beat the first maximum.
     */
   def selectDiverse(cands: Seq[(Pattern.Pattern, Metrics.Quality)], k: Int): Seq[(Pattern.Pattern, Metrics.Quality)] = {
-    val pool = scala.collection.mutable.ArrayBuffer(
-      cands.map(c => (c, c._1.render))
-        .sortBy { case ((_, qu), render) => (-qu.fscore, render, qu.primary) }
-        .map(_._1)
-        .distinctBy { case (p, qu) => (p, qu.primary) }: _*)
-    val out = scala.collection.mutable.ArrayBuffer.empty[(Pattern.Pattern, Metrics.Quality)]
-    while (out.size < k && pool.nonEmpty) {
-      val best = pool.maxBy { case (p, qu) => Pattern.wscore(qu.fscore, p, out.map(_._1).toSeq) }
-      out += best
-      pool -= best
+    // The later duplicates of a (pattern, primary) render alike, so the
+    // first one in F order is the first one in (−F, render, primary) order.
+    val seen = mutable.HashSet.empty[(Pattern.Pattern, String)]
+    val pool = cands.sortBy(-_._2.fscore).filter { case (p, qu) => seen.add((p, qu.primary)) }.toArray
+    val f = pool.map(_._2.fscore)
+    val run = new Array[Int](pool.length) // the first candidate of each one's run of equal F
+    for (i <- 1 until pool.length) run(i) = if (f(i) == f(i - 1)) run(i - 1) else i
+    val rendered = new Array[String](pool.length)
+    def render(i: Int): String = { if (rendered(i) == null) rendered(i) = pool(i)._1.render; rendered(i) }
+    // Whether i comes before j in (render, primary) order, for i and j of
+    // one run with i after j in F order.
+    def before(i: Int, j: Int): Boolean = {
+      val c = render(i).compareTo(render(j))
+      c < 0 || c == 0 && pool(i)._2.primary < pool(j)._2.primary
     }
-    out.toSeq
+
+    // Candidate i's lowest diversity to the first compared(i) picks, +∞ for none.
+    val minD = Array.fill(pool.length)(Double.PositiveInfinity)
+    val compared = new Array[Int](pool.length)
+    val taken = new Array[Boolean](pool.length)
+    val picks = mutable.ArrayBuffer.empty[(Pattern.Pattern, Metrics.Quality)]
+    val picked = mutable.ArrayBuffer.empty[Map[String, Pattern.Pred]]
+    while (picks.size < k && picks.size < pool.length) {
+      // Before the first pick wscore is F itself.
+      val slack = if (picks.isEmpty) 0.0 else 1.0
+      var best = -1
+      var bestW = 0.0
+      // Whether candidate i, whose wscore is at most `bound`, cannot beat the best.
+      def beaten(bound: Double, i: Int): Boolean = bound < bestW || bound == bestW && run(i) != run(best)
+      var i = 0
+      while (i < pool.length && (best < 0 || !beaten(f(i) + slack, i))) {
+        if (!taken(i) && (best < 0 || !beaten(f(i) + minD(i), i))) {
+          while (compared(i) < picks.size) {
+            minD(i) = math.min(minD(i), Pattern.diversity(pool(i)._1, picked(compared(i))))
+            compared(i) += 1
+          }
+          val w = if (picks.isEmpty) f(i) else f(i) + minD(i)
+          if (best < 0 || w > bestW || w == bestW && run(i) == run(best) && before(i, best)) { best = i; bestW = w }
+        }
+        i += 1
+      }
+      taken(best) = true
+      picks += pool(best)
+      picked += Pattern.byAttr(pool(best)._1)
+    }
+    picks.toSeq
   }
 }

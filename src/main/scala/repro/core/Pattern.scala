@@ -65,11 +65,13 @@ object Pattern {
     * absent from Φ', −0.3 if present with a different constant, −2 if
     * present with the same constant; averaged over |Φ|.
     */
-  def diversity(p: Pattern, other: Pattern): Double = {
+  def diversity(p: Pattern, other: Pattern): Double = diversity(p, byAttr(other))
+
+  /** [[diversity]] from Φ' as its predicates by attribute. */
+  private[core] def diversity(p: Pattern, other: Map[String, Pred]): Double = {
     if (p.preds.isEmpty) return 0.0
-    val byAttr = other.preds.map(pr => pr.attr -> pr).toMap
     val s = p.preds.map { pr =>
-      byAttr.get(pr.attr) match {
+      other.get(pr.attr) match {
         case None                                   => 1.0
         case Some(o) if o.value == pr.value         => -2.0
         case Some(_)                                => -0.3
@@ -77,6 +79,9 @@ object Pattern {
     }.sum
     s / p.preds.size
   }
+
+  /** The predicates of `p` by attribute. */
+  private[core] def byAttr(p: Pattern): Map[String, Pred] = p.preds.map(pr => pr.attr -> pr).toMap
 
   /** wscore used for diverse top-k selection: F-score plus the distance to
     * the closest already-selected pattern.

@@ -23,14 +23,26 @@ object Correlation {
       case (false, true)  => correlationRatio(sample.codes(a), sample.strings(a), sample.doubles(b))
     }
 
-  def pearson(xs: collection.Seq[Double], ys: collection.Seq[Double]): Double = {
-    val pairs = xs.zip(ys).filterNot { case (a, b) => a.isNaN || b.isNaN }
-    val n = pairs.size
+  /** Pearson's r over the rows where neither `xs` nor `ys` is NaN; 0 for
+    * fewer than 3 such rows or a constant column. Every sum runs over the
+    * rows in order, from 0.0.
+    */
+  def pearson(xs: Array[Double], ys: Array[Double]): Double = {
+    var n = 0
+    var sx, sy = 0.0
+    var i = 0
+    while (i < xs.length) {
+      if (!xs(i).isNaN && !ys(i).isNaN) { sx += xs(i); sy += ys(i); n += 1 }
+      i += 1
+    }
     if (n < 3) return 0.0
-    val mx = pairs.map(_._1).sum / n; val my = pairs.map(_._2).sum / n
+    val mx = sx / n; val my = sy / n
     var sxy = 0.0; var sxx = 0.0; var syy = 0.0
-    pairs.foreach { case (x, y) =>
-      sxy += (x - mx) * (y - my); sxx += (x - mx) * (x - mx); syy += (y - my) * (y - my)
+    i = 0
+    while (i < xs.length) {
+      val x = xs(i); val y = ys(i)
+      if (!x.isNaN && !y.isNaN) { sxy += (x - mx) * (y - my); sxx += (x - mx) * (x - mx); syy += (y - my) * (y - my) }
+      i += 1
     }
     if (sxx <= 0 || syy <= 0) 0.0 else sxy / math.sqrt(sxx * syy)
   }

@@ -31,17 +31,46 @@ object LocalSample {
       val want = math.min(perGrp, math.ceil(frac * n).toInt)
       val take = if (want >= math.min(perGrp, 30)) want else math.min(perGrp, n)
       // A row's rank in the high 32 bits and its offset in the low ones, so
-      // the sorted longs order rows by rank, then by offset.
+      // the sorted longs order rows by rank, then by offset. They are
+      // distinct, so the `take` lowest, sorted, are the first `take` of all
+      // of them sorted.
       val byRank = new Array[Long](n)
       var k = 0
       while (k < n) { byRank(k) = rank(k).toLong << 32 | k; k += 1 }
-      java.util.Arrays.sort(byRank)
       val kept = new Array[Int](math.min(take, n))
+      selectLowest(byRank, kept.length)
+      java.util.Arrays.sort(byRank, 0, kept.length)
       k = 0
       while (k < kept.length) { kept(k) = from + byRank(k).toInt; k += 1 }
       kept
     }
     table.select(group(0, table.t1Rows) ++ group(table.t1Rows, table.rows), attrCols)
+  }
+
+  /** Moves the `m` lowest of the distinct `xs` to `xs(0 until m)`, in no
+    * particular order (quickselect, Hoare 1961, with a median-of-three
+    * pivot).
+    */
+  private def selectLowest(xs: Array[Long], m: Int): Unit = {
+    def swap(i: Int, j: Int): Unit = { val t = xs(i); xs(i) = xs(j); xs(j) = t }
+    var lo = 0
+    var hi = xs.length - 1
+    while (m > 0 && m < xs.length && lo < hi) {
+      // Partition [lo, hi] around the median of its ends and middle,
+      // moved to hi: the smaller values end up before its final place p.
+      val mid = (lo + hi) >>> 1
+      if (xs(mid) < xs(lo)) swap(mid, lo)
+      if (xs(hi) < xs(lo)) swap(hi, lo)
+      if (xs(mid) < xs(hi)) swap(mid, hi)
+      val pivot = xs(hi)
+      var p = lo
+      var i = lo
+      while (i < hi) { if (xs(i) < pivot) { swap(i, p); p += 1 }; i += 1 }
+      swap(p, hi)
+      if (p == m - 1) lo = hi
+      else if (p < m - 1) lo = p + 1
+      else hi = p - 1
+    }
   }
 
   /** Collects `apt` (a frame with `pt_id`, `grp` and `attrCols`) to the

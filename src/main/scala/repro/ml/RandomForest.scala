@@ -44,15 +44,20 @@ object RandomForest {
     val order = new Array[Int](p)
     val found = new Candidates
 
+    // A tree grows from the distinct rows of its bootstrap draw, in order of
+    // first draw, each weighted by how often it was drawn: every count, and
+    // the order in which a node's codes first appear, is that of the draw.
+    val weight = new Array[Int](n)
+
     // Greedy split search over a random feature subset; accumulates the
     // weighted impurity decrease of each chosen split into `imp`. The first
     // candidate of the highest gain wins.
     def grow(idx: Array[Int], depth: Int): Unit = {
-      var c1 = 0
+      var size, c1 = 0
       var x = 0
-      while (x < idx.length) { c1 += labels(idx(x)); x += 1 }
-      val c0 = idx.length - c1
-      if (depth >= MaxDepth || idx.length < 2 * MinLeaf || c0 == 0 || c1 == 0) return
+      while (x < idx.length) { size += weight(idx(x)); c1 += weight(idx(x)) * labels(idx(x)); x += 1 }
+      val c0 = size - c1
+      if (depth >= MaxDepth || size < 2 * MinLeaf || c0 == 0 || c1 == 0) return
       val parentGini = gini(c0, c1)
       var bestF, bestKey = -1
       var bestGain = 0.0
@@ -60,12 +65,12 @@ object RandomForest {
       var o = 0
       while (o < math.min(mtry, p)) {
         val f = order(o)
-        columns(f).splits(idx, labels, found)
+        columns(f).splits(idx, weight, labels, found)
         var c = 0
         while (c < found.size) {
           val l = found.left(c)
           val l1 = found.leftT2(c)
-          val r = idx.length - l
+          val r = size - l
           val r1 = c1 - l1
           if (l >= MinLeaf && r >= MinLeaf) {
             val t = (l + r).toDouble
@@ -77,7 +82,7 @@ object RandomForest {
         o += 1
       }
       if (bestF >= 0 && bestGain > 1e-9) {
-        imp(bestF) += bestGain * idx.length
+        imp(bestF) += bestGain * size
         val column = columns(bestF)
         val l, r = new mutable.ArrayBuilder.ofInt
         x = 0
@@ -92,10 +97,16 @@ object RandomForest {
 
     var tree = 0
     while (tree < NTrees) {
-      val idx = new Array[Int](n)
+      java.util.Arrays.fill(weight, 0)
+      val idx = new mutable.ArrayBuilder.ofInt
       var x = 0
-      while (x < n) { idx(x) = rnd.nextInt(n); x += 1 }
-      grow(idx, depth = 0)
+      while (x < n) {
+        val i = rnd.nextInt(n)
+        if (weight(i) == 0) idx += i
+        weight(i) += 1
+        x += 1
+      }
+      grow(idx.result(), depth = 0)
       tree += 1
     }
     val total = imp.sum
@@ -162,10 +173,10 @@ object RandomForest {
     /** The node's distinct codes, in order of first appearance. */
     protected val present = new Array[Int](values)
 
-    /** Sets `out` to the candidate splits of the node's rows `idx`, in
-      * order.
+    /** Sets `out` to the candidate splits of the node's rows `idx`, row i
+      * counted `weight(i)` times, in order.
       */
-    final def splits(idx: Array[Int], labels: Array[Int], out: Candidates): Unit = {
+    final def splits(idx: Array[Int], weight: Array[Int], labels: Array[Int], out: Candidates): Unit = {
       var m = 0
       var x = 0
       while (x < idx.length) {
@@ -173,8 +184,8 @@ object RandomForest {
         val c = code(i)
         if (c >= 0) {
           if (rows(c) == 0) { present(m) = c; m += 1 }
-          rows(c) += 1
-          t2(c) += labels(i)
+          rows(c) += weight(i)
+          t2(c) += weight(i) * labels(i)
         }
         x += 1
       }

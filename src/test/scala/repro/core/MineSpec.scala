@@ -237,6 +237,29 @@ class MineSpec extends SparkSpec {
       (Pattern.of(Pred("b", OpEq, CatV("2"))), qual(0.5)))
     assert(Mine.selectDiverse(cands, 5).size == 2)
   }
+  test("selectDiverse picks what re-scoring every candidate in every round picks") {
+    // Constants 0.50001 and 0.50002 render alike; F comes from small counts, so it ties often.
+    val constants = Seq(0.0, 1.5, 0.50001, 0.50002)
+    var ties = 0
+    for (seed <- 0 until 300) {
+      val rnd = new Random(seed)
+      def pred(a: String): Pred =
+        if (a == "x") Pred(a, if (rnd.nextBoolean()) OpLe else OpGe, NumV(constants(rnd.nextInt(constants.size))))
+        else Pred(a, OpEq, CatV(s"${rnd.nextInt(3)}"))
+      def pattern(): Pattern = Pattern.of(rnd.shuffle(Seq("a", "b", "c", "x")).take(1 + rnd.nextInt(3)).map(pred): _*)
+      val (n1, n2) = (3 + rnd.nextInt(5), 3 + rnd.nextInt(5))
+      def quality(primary: String): Metrics.Quality =
+        Metrics.quality(Metrics.Coverage(rnd.nextInt(n1 + 1), rnd.nextInt(n2 + 1)), n1, n2, primary)
+      val base = Seq.fill(rnd.nextInt(60))(pattern() -> quality(if (rnd.nextBoolean()) "t1" else "t2"))
+      // Repeated (pattern, primary) pairs, with the same quality or another.
+      val repeats = base.filter(_ => rnd.nextInt(4) == 0).map { case (p, qu) => p -> (if (rnd.nextBoolean()) qu else quality(qu.primary)) }
+      val pool = rnd.shuffle(base ++ repeats)
+      ties += pool.size - pool.map(_._2.fscore).distinct.size
+      for (k <- Seq(1, 3, 10, pool.size + 5))
+        assert(Mine.selectDiverse(pool, k) == ReferenceKernels.selectDiverse(pool, k), s"seed $seed, k $k")
+    }
+    assert(ties > 3000)
+  }
 
   // ---- MineAPT end-to-end -------------------------------------------------
 

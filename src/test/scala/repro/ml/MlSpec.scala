@@ -96,19 +96,19 @@ class MlSpec extends SparkSpec {
   private def column(xs: Seq[String]): Metrics.Table = TestData.sample(Seq("c" -> false), xs.map(x => (Seq(x), 0)))
 
   test("pearson of a perfect linear relation is ±1") {
-    val xs = Vector.tabulate(50)(_.toDouble)
+    val xs = Array.tabulate(50)(_.toDouble)
     assert(math.abs(Correlation.pearson(xs, xs.map(2 * _ + 3)) - 1.0) < 1e-9)
     assert(math.abs(Correlation.pearson(xs, xs.map(-1 * _)) + 1.0) < 1e-9)
   }
   test("pearson of independent noise is near 0") {
     val rnd = new Random(3)
-    val xs = Vector.fill(500)(rnd.nextGaussian())
-    val ys = Vector.fill(500)(rnd.nextGaussian())
+    val xs = Array.fill(500)(rnd.nextGaussian())
+    val ys = Array.fill(500)(rnd.nextGaussian())
     assert(math.abs(Correlation.pearson(xs, ys)) < 0.15)
   }
   test("pearson ignores NaN pairs") {
-    val xs = Vector(1.0, 2.0, Double.NaN, 4.0, 5.0)
-    val ys = Vector(2.0, 4.0, 6.0, 8.0, 10.0)
+    val xs = Array(1.0, 2.0, Double.NaN, 4.0, 5.0)
+    val ys = Array(2.0, 4.0, 6.0, 8.0, 10.0)
     assert(math.abs(Correlation.pearson(xs, ys) - 1.0) < 1e-9)
   }
   test("cramersV of identical columns is 1") {
