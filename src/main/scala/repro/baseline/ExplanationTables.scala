@@ -13,7 +13,10 @@ import repro.ml.LocalSample
   * attributes, so numeric columns are pre-bucketized into quartile bins
   * (the preprocessing step the paper describes in A.1). The greedy step
   * rescoring every candidate each round is what makes ET quadratic in the
-  * sample size — the behaviour Figure 11 measures.
+  * sample size — the behaviour Figure 11 measures. It keeps its own
+  * per-row loop rather than `Metrics.Table`'s predicate bitsets, because
+  * Figure 11 times ET's re-scoring, and a memoized word-wise kernel would
+  * change what that figure measures.
   */
 object ExplanationTables {
 

@@ -9,20 +9,20 @@ import scala.collection.mutable
 
 /** Equi-joins on the driver: the question's provenance table from the
   * query's relations, and the APT of every join graph from its parent
-  * graph's APT by one edge (paper §4, Algorithm 2's ExtendJG/AddEdge).
+  * graph's by one edge (paper §2.1, §2.3, §4's ExtendJG/AddEdge).
   *
   * Spark's share of `explain` is one collect per relation per database:
   * the first call that reads a relation collects it whole
   * ([[Schema.Database.relations]]), and every later call on that database
-  * reads the held columns and launches no Spark job. Everything else works
-  * on the columns of [[Metrics.Table]]: a node-adding edge is a hash join
-  * of the parent APT's rows with the relation's rows, gathered through
-  * `Col.subset`, and a parallel edge is a row filter. NULL never matches.
-  * Numbers compare as `Double`, with −0.0 = 0.0 and NaN = NaN, as Spark
-  * normalizes join keys; a key that is a number on one side and a string
-  * on the other is rejected. [[Query.questionProvenance]] and
-  * [[Apt.materialize]] compute the same tables in Spark and are kept as
-  * the reference.
+  * reads the held columns and launches no Spark job. The PT and every APT
+  * are one kind of driver join, [[Joined]]: a condition to a new source is
+  * a [[probe]] of its relation's key index, a condition between sources
+  * already joined an [[equalKeys]] filter, and the columns are gathered
+  * once, through `Col.subset`. NULL never matches. Numbers compare as
+  * `Double`, with −0.0 = 0.0 and NaN = NaN, as Spark normalizes join keys;
+  * a key that is a number on one side and a string on the other is
+  * rejected. [[Query.questionProvenance]] and [[Apt.materialize]] compute
+  * the same tables in Spark and are kept as the reference.
   */
 object Join {
 
@@ -72,16 +72,17 @@ object Join {
   }
 
   /** The APTs of one user question, held on the driver, over the PT
-    * `table` with its λ_F1-samp flags set ([[f1Flags]]). The APT of a join
-    * graph is built from the APT of its parent, the graph without its last
-    * edge, and every APT is memoized, so a graph costs one hash join or
-    * filter once its parent exists. Tables keep every column, the join
+    * `table` with its λ_F1-samp flags set ([[f1Flags]]). The memo holds
+    * each join graph's [[Joined]] rows, built from its parent's (the graph
+    * without its last edge) by one probe or filter; a graph's columns are
+    * gathered when it is asked for. Tables keep every column, the join
     * keys included; mining projects them onto [[Apt.patternColumns]].
     */
   final class Apts private (val q: Query.QuerySpec, table: Table, relations: Relations, params: Params) {
     private val flags = f1Flags(table, params)
     val pt: Table = table.withFlags(flags)
-    private val memo = mutable.HashMap[Schema.JoinGraph, Table](Schema.JoinGraph.empty -> pt)
+    private val memo = mutable.HashMap[Schema.JoinGraph, Joined[Int]](
+      Schema.JoinGraph.empty -> Joined(pt.rows, Vector(0 -> Array.range(0, pt.rows))))
 
     /** |PT(t1)|, |PT(t2)| and their λ_F1-samp counterparts: the PT tuples,
       * and the flagged PT tuples, of each group. The PT has one row per PT
@@ -94,12 +95,22 @@ object Join {
     }
 
     /** APT(Q, D, Ω) of the question's PT, with the rows and columns that
-      * [[Apt.materialize]] gives, t1's rows first.
+      * [[Apt.materialize]] gives, t1's rows first; `pt` itself for Ω₀.
       */
-    def apply(jg: Schema.JoinGraph): Table = {
+    def apply(jg: Schema.JoinGraph): Table =
+      if (jg.edges.isEmpty) pt
+      else {
+        val j = joined(jg)
+        pt.gather(j(0), j.rows.tail.flatMap { case (node, rs) =>
+          val rel = relations(jg.relOf(node))
+          rel.names.map(a => (Apt.ctxPrefix(node) + a) -> rel(a).subset(rs))
+        })
+      }
+
+    private def joined(jg: Schema.JoinGraph): Joined[Int] = {
       var nodes = Set(0)
       var edges = Vector.empty[Schema.JGEdge]
-      Apt.edgeOrder(jg).foldLeft(pt) { (parent, e) =>
+      Apt.edgeOrder(jg).foldLeft(memo(Schema.JoinGraph.empty)) { (parent, e) =>
         val added = Seq(e.fromNode, e.toNode).find(!nodes(_))
         nodes ++= added
         edges :+= e
@@ -107,30 +118,22 @@ object Join {
       }
     }
 
-    private def extend(parent: Table, e: Schema.JGEdge, added: Option[Int], jg: Schema.JoinGraph): Table = {
-      val from = e.cond.pairs.map { case (a, _) => Apt.colName(q, e.fromNode, e.queryAlias, a) }
-      val to = e.cond.pairs.map { case (_, b) => Apt.colName(q, e.toNode, None, b) }
+    private def extend(parent: Joined[Int], e: Schema.JGEdge, added: Option[Int], jg: Schema.JoinGraph): Joined[Int] = {
+      // An endpoint of the edge: its attributes' APT column names and, for
+      // a node already joined, their columns over the parent's rows.
+      final case class End(node: Int, alias: Option[String], attrs: Seq[String]) {
+        def names: Seq[String] = attrs.map(Apt.colName(q, node, alias, _))
+        def columns: Seq[(Col, Array[Int])] = attrs.zip(names).map { case (a, c) =>
+          (if (node == 0) pt.column(c) else relations(jg.relOf(node))(a), parent(node))
+        }
+      }
+      val from = End(e.fromNode, e.queryAlias, e.cond.pairs.map(_._1))
+      val to = End(e.toNode, None, e.cond.pairs.map(_._2))
       added match {
-        case None =>
-          val (l, r) = (from.map(parent.column), to.map(parent.column))
-          checkKeys(from.zip(to), l, r)
-          val kept = new mutable.ArrayBuilder.ofInt
-          var i = 0
-          while (i < parent.rows) {
-            val k = key(l, i)
-            if (k != null && k == key(r, i)) kept += i
-            i += 1
-          }
-          parent.gather(kept.result(), Nil)
+        case None => equalKeys(parent, from.names.zip(to.names), from.columns, to.columns)
         case Some(node) =>
-          val rel = relations(jg.relOf(node))
-          val (known, fresh) =
-            if (node == e.toNode) (from, e.cond.pairs.map(_._2))
-            else (to, e.cond.pairs.map(_._1))
-          val left = known.map(parent.column)
-          checkKeys(known.zip(fresh), left, fresh.map(rel(_)))
-          val (p, r) = probe(parent.rows, key(left, _), rel.index(fresh))
-          parent.gather(p, rel.names.map(a => (Apt.ctxPrefix(node) + a) -> rel(a).subset(r)))
+          val (known, fresh) = if (node == e.toNode) (from, to) else (to, from)
+          probe(parent, node, known.names.zip(fresh.attrs), known.columns, relations(jg.relOf(node)), fresh.attrs, null)
       }
     }
   }
@@ -176,11 +179,11 @@ object Join {
     * relation's schema, t1's rows first, no row flagged. `pt_id` is the
     * row's position.
     * The aliases are joined starting with the one that the filters and the
-    * question constrain most, each next one joined to those before it if
-    * the query joins it to any, through the relation's held index on the
-    * joined attributes; only the rows that pass the alias's filters are
-    * joined. The driver applies every filter, join condition and question
-    * value itself, on relations collected whole.
+    * question constrain most, each next one probed on its conditions with
+    * those before it (on none if there are none); only the rows that pass
+    * its filters are joined. Conditions between two attributes of one
+    * alias filter the result. t1 and t2 are patterns over the joined rows'
+    * group-by columns; the other columns are gathered over their rows only.
     * Rejects a malformed question as [[Query.provenanceTable]] does.
     */
   def provenance(relations: Relations, q: Query.QuerySpec, uq: Query.UserQuestion): Table = {
@@ -191,78 +194,53 @@ object Join {
       val rest = q.aliases.filterNot(order.contains)
       order += rest.find(joinsTo(q, _, order.toSeq).nonEmpty).getOrElse(rest.head)
     }
+    val rel = order.map(al => al -> relations(q.relOfAlias(al))).toMap
+    def column(j: Joined[String], al: String, a: String): (Col, Array[Int]) = (rel(al)(a), j(al))
 
-    // The join so far: for each alias joined, the relation row of each
-    // joined row. One row of no alias to start with.
-    val rel = mutable.HashMap.empty[String, Relation]
-    var rows = Map.empty[String, Array[Int]]
-    var n = 1
+    // One row of no alias to start with.
+    var j = Joined[String](1, Vector.empty)
     for (al <- order) {
       val joins = joinsTo(q, al, order.takeWhile(_ != al).toSeq)
-      val left = joins.map { case (b, ba, _) => (rel(b)(ba), rows(b)) }
-      val r = relations(q.relOfAlias(al))
-      val right = joins.map { case (_, _, a) => r(a) }
-      checkKeys(joins.map { case (b, ba, a) => (q.provCol(b, ba), q.provCol(al, a)) }, left.map(_._1), right)
-      val kept = q.filters.filter(_.alias == al).foldLeft(all(r.rows)) { (b, f) =>
-        b.and(equalTo(r(f.attr), f.value)); b
-      }
-      val leftKey: Int => Any = left match {
-        case Seq((c, rs)) => i => c.key(rs(i))
-        case _ => i => key(left.map { case (c, rs) => c.key(rs(i)) })
-      }
-      val (p, m) = probe(n, leftKey, r.index(joins.map(_._3)), Some(kept))
-      rows = rows.map { case (b, rs) => b -> Metrics.gather(rs, p) } + (al -> m)
-      rel(al) = r
-      n = p.length
+      val kept = q.filters.filter(_.alias == al).map(f => equalTo(rel(al)(f.attr), f.value))
+        .reduceOption { (a, b) => a.and(b); a }.orNull
+      j = probe(j, al, joins.map { case (b, ba, a) => (q.provCol(b, ba), q.provCol(al, a)) },
+        joins.map { case (b, ba, _) => column(j, b, ba) }, rel(al), joins.map(_._3), kept)
     }
+    val same = q.joins.filter { case ((a1, _), (a2, _)) => a1 == a2 }
+    if (same.nonEmpty)
+      j = equalKeys(j, same.map { case ((a1, c1), (a2, c2)) => (q.provCol(a1, c1), q.provCol(a2, c2)) },
+        same.map { case ((al, c), _) => column(j, al, c) }, same.map { case (_, (al, c)) => column(j, al, c) })
 
     // The question: t1's rows, then t2's; other rows are not part of it.
-    // Each is a mask of `long` words over the joined rows, built one column
-    // test at a time: the joined rows whose row of alias `al` is in `bits`.
-    def joinedIn(al: String, bits: BitSet): Array[Long] = {
-      val rs = rows(al)
-      val words = new Array[Long](Metrics.wordsOf(n))
-      var i = 0
-      while (i < n) { if (bits.get(rs(i))) words(i >>> 6) |= 1L << i; i += 1 }
-      words
-    }
-    def and(x: Array[Long], y: Array[Long]): Array[Long] = { var w = 0; while (w < x.length) { x(w) &= y(w); w += 1 }; x }
-    def matches(t: Map[String, String]): Array[Long] =
-      t.foldLeft(ones(n)) { case (m, (c, v)) =>
-        val (al, a) = aliasOf(q, c)
-        and(m, joinedIn(al, equalTo(rel(al)(a), v)))
-      }
-    // Conditions between two attributes of one alias filter its rows.
-    val selfJoined = q.joins.foldLeft(ones(n)) {
-      case (m, ((a1, c1), (a2, c2))) if a1 == a2 =>
-        val (x, y, rs) = (rel(a1)(c1), rel(a1)(c2), rows(a1))
-        val words = new Array[Long](Metrics.wordsOf(n))
-        var i = 0
-        while (i < n) { val k = x.key(rs(i)); if (k != null && k == y.key(rs(i))) words(i >>> 6) |= 1L << i; i += 1 }
-        and(m, words)
-      case (m, _) => m
-    }
-    val isT1 = and(matches(uq.tuples.head._2), selfJoined)
+    val asked = uq.tuples.flatMap(_._2.keys).distinct
+    val grp = new Table(Metrics.ordinals(j.n), j.n, asked.toVector.map { c =>
+      val (al, a) = aliasOf(q, c)
+      c -> rel(al)(a).subset(j(al))
+    }, new BitSet)
+    def rowsOf(t: Map[String, String]): BitSet = grp.matching(Pattern.Pattern.of(
+      t.toSeq.map { case (c, v) => Pattern.Pred(c, Pattern.OpEq, grp.column(c).constant(v)) }: _*))
+    val isT1 = rowsOf(uq.tuples.head._2)
     val isT2 = uq match {
-      case Query.TwoPoint(_, t2) => and(matches(t2), selfJoined)
-      case Query.SinglePoint(_) => selfJoined
+      case Query.TwoPoint(_, t2) => rowsOf(t2)
+      case Query.SinglePoint(_) => rowsOf(Map.empty)
     }
-    val t1, t2 = new mutable.ArrayBuilder.ofInt
-    var w = 0
-    while (w < isT1.length) {
-      var b1 = isT1(w)
-      var b2 = isT2(w) & ~b1
-      while (b1 != 0) { t1 += w << 6 | java.lang.Long.numberOfTrailingZeros(b1); b1 &= b1 - 1 }
-      while (b2 != 0) { t2 += w << 6 | java.lang.Long.numberOfTrailingZeros(b2); b2 &= b2 - 1 }
-      w += 1
-    }
-    val t1Rows = t1.length
-    val ptRows = (t1 ++= t2.result()).result()
-    new Table(Metrics.ordinals(ptRows.length), t1Rows,
+    isT2.andNot(isT1)
+    val ptRows = isT1.stream().toArray ++ isT2.stream().toArray
+    new Table(Metrics.ordinals(ptRows.length), isT1.cardinality,
       q.tables.toVector.flatMap { case (_, al) =>
-        val rs = Metrics.gather(rows(al), ptRows)
+        val rs = Metrics.gather(j(al), ptRows)
         rel(al).names.map(a => q.provCol(al, a) -> rel(al)(a).subset(rs))
       }, new BitSet)
+  }
+
+  /** A driver join's result: row i takes row `rows(s)(i)` of each source s
+    * (a query alias, or a join-graph node), in the order they were joined.
+    */
+  private final case class Joined[S](n: Int, rows: Vector[(S, Array[Int])]) {
+    def apply(s: S): Array[Int] = rows.collectFirst { case (`s`, rs) => rs }.get
+    /** The result rows `picked`, in that order. */
+    def pick(picked: Array[Int]): Joined[S] =
+      Joined(picked.length, rows.map { case (s, rs) => s -> Metrics.gather(rs, picked) })
   }
 
   /** The (alias, attribute) of group-by column `c`. */
@@ -278,7 +256,7 @@ object Join {
       case ((a1, c1), (a2, c2)) if a2 == al && before.contains(a1) => (a1, c1, c2)
     }
 
-  /** The rows of `c` equal to the constant `v` of a filter or a question. */
+  /** The rows of `c` equal to the constant `v` of a filter. */
   private def equalTo(c: Col, v: String): BitSet = c.matching(Pattern.Pred("", Pattern.OpEq, c.constant(v)))
 
   /** A join key from the keys of its attributes (see `Col.key`): null when
@@ -287,41 +265,66 @@ object Join {
   private def key(cells: Seq[Any]): Any =
     if (cells.size == 1) cells.head else if (cells.contains(null)) null else cells
 
-  private def key(cols: Seq[Col], i: Int): Any = key(cols.map(_.key(i)))
+  /** The key over `cols`, columns of a join result's rows, of result row i. */
+  private def keyOf(cols: Seq[(Col, Array[Int])]): Int => Any = cols match {
+    case Seq((c, rs)) => i => c.key(rs(i))
+    case _ => i => key(cols.map { case (c, rs) => c.key(rs(i)) })
+  }
 
   /** The rows `[0, rows)` under each non-null key over `cols`. */
   private def index(cols: Seq[Col], rows: Int): collection.Map[Any, Array[Int]] = {
     val b = mutable.HashMap.empty[Any, mutable.ArrayBuilder.ofInt]
     (0 until rows).foreach { j =>
-      val k = key(cols, j)
+      val k = key(cols.map(_.key(j)))
       if (k != null) b.getOrElseUpdate(k, new mutable.ArrayBuilder.ofInt) += j
     }
     b.map { case (k, js) => k -> js.result() }
   }
 
-  /** The pairs (i, j) of rows i < n of the left side and rows j of `index`
-    * under the key of i that are in `keep` (all when it is empty): in order
-    * of i, then of j.
+  /** The hash join of `j` with the rows of `rel` in `keep` (all when null),
+    * as source `s`: each result row i with each row r of `rel` whose key
+    * over `attrs` is i's key over `left`, in order of i, then of r. NULL
+    * matches nothing. `names` names the key pairs, for [[checkKeys]].
     */
-  private def probe(n: Int, key: Int => Any, index: collection.Map[Any, Array[Int]],
-                    keep: Option[BitSet] = None): (Array[Int], Array[Int]) = {
-    val kept = keep.orNull
+  private def probe[S](j: Joined[S], s: S, names: Seq[(String, String)], left: Seq[(Col, Array[Int])],
+                       rel: Relation, attrs: Seq[String], keep: BitSet): Joined[S] = {
+    checkKeys(names, left.map(_._1), attrs.map(rel(_)))
+    val key = keyOf(left)
+    val index = rel.index(attrs)
     val l, r = new mutable.ArrayBuilder.ofInt
     var i = 0
-    while (i < n) {
+    while (i < j.n) {
       val k = key(i)
       if (k != null) {
         val hits = index.getOrElse(k, Array.emptyIntArray)
         var h = 0
         while (h < hits.length) {
-          val j = hits(h)
-          if (kept == null || kept.get(j)) { l += i; r += j }
+          if (keep == null || keep.get(hits(h))) { l += i; r += hits(h) }
           h += 1
         }
       }
       i += 1
     }
-    (l.result(), r.result())
+    val joined = j.pick(l.result())
+    joined.copy(rows = joined.rows :+ (s -> r.result()))
+  }
+
+  /** The rows of `j` whose keys over `l` and over `r`, columns of its rows,
+    * are equal and not null, in order. `names` names the key pairs, for
+    * [[checkKeys]].
+    */
+  private def equalKeys[S](j: Joined[S], names: Seq[(String, String)],
+                           l: Seq[(Col, Array[Int])], r: Seq[(Col, Array[Int])]): Joined[S] = {
+    checkKeys(names, l.map(_._1), r.map(_._1))
+    val (kl, kr) = (keyOf(l), keyOf(r))
+    val kept = new mutable.ArrayBuilder.ofInt
+    var i = 0
+    while (i < j.n) {
+      val k = kl(i)
+      if (k != null && k == kr(i)) kept += i
+      i += 1
+    }
+    j.pick(kept.result())
   }
 
   /** Rejects a key pair that compares a number with a string: Spark would
@@ -333,14 +336,4 @@ object Join {
         throw new IllegalArgumentException(
           s"join key $a = $b compares a ${if (x.numeric) "number" else "string"} with a ${if (y.numeric) "number" else "string"}")
     }
-
-  private def all(n: Int): BitSet = { val b = new BitSet(n); b.set(0, n); b }
-
-  /** The `long` words of a bitset of `n` bits, all of them set. */
-  private def ones(n: Int): Array[Long] = {
-    val words = new Array[Long](Metrics.wordsOf(n))
-    java.util.Arrays.fill(words, -1L)
-    if ((n & 63) != 0) words(words.length - 1) = (1L << n) - 1
-    words
-  }
 }

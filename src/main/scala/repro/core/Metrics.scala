@@ -173,17 +173,20 @@ object Metrics {
     /** Coverage of each of `patterns`, aligned with `patterns`. */
     def coverage(patterns: Seq[Pattern.Pattern]): Seq[Coverage] = patterns.map(coverageOf)
 
-    /** Distinct PT tuples of t1 and of t2 with at least one matching row;
-      * the empty pattern matches every row.
+    /** The rows that match `p`, the AND of its predicates' bitsets (every
+      * row for the empty pattern), in a new bitset.
       */
+    private[core] def matching(p: Pattern.Pattern): BitSet =
+      if (p.isEmpty) all(rows)
+      else {
+        val b = matching(p.preds.head).clone().asInstanceOf[BitSet]
+        p.preds.tail.foreach(pr => b.and(matching(pr)))
+        b
+      }
+
+    /** Distinct PT tuples of t1 and of t2 with at least one matching row. */
     private def coverageOf(p: Pattern.Pattern): Coverage = {
-      val set =
-        if (p.isEmpty) all(rows)
-        else {
-          val b = matching(p.preds.head).clone().asInstanceOf[BitSet]
-          p.preds.tail.foreach(pr => b.and(matching(pr)))
-          b
-        }
+      val set = matching(p)
       var c1, c2 = 0L
       var last = -1
       var i = set.nextSetBit(0)
@@ -377,7 +380,7 @@ object Metrics {
   private def all(n: Int): BitSet = { val b = new BitSet(n); b.set(0, n); b }
 
   /** The `long` words of a bitset of `n` bits. */
-  private[core] def wordsOf(n: Int): Int = (n + 63) >>> 6
+  private def wordsOf(n: Int): Int = (n + 63) >>> 6
 
   /** Derives precision/recall/F-score (Definition 7(e)) from coverage given
     * the provenance sizes and the chosen primary tuple.

@@ -90,8 +90,7 @@ object Schema {
       */
     def canonical: String = {
       val ctx = contextNodes.map(_.id)
-      val perms = ctx.permutations.take(5040) // ≤ 7! safety valve
-      perms.map { perm =>
+      ctx.permutations.map { perm =>
         val remap: Map[Int, Int] =
           Map(0 -> 0) ++ perm.zipWithIndex.map { case (id, i) => id -> (i + 1) }
         val nodeSig = nodes.map(n => s"${remap(n.id)}:${n.rel}").sorted.mkString(",")

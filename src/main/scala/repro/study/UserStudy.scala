@@ -78,8 +78,10 @@ object UserStudy {
   def evaluate(db: Database, q: Query.QuerySpec, uq: Query.UserQuestion,
                expls: Seq[StudyExplanation] = explanations): Seq[(StudyExplanation, Metrics.Quality)] = {
     val apts = Join.Apts(db, q, uq, Params.default)
+    // One table per graph: `apts(jg)` gathers its columns on every call.
+    val tables = expls.map(_.jg).distinct.map(jg => jg -> apts(jg)).toMap
     expls.map { e =>
-      val Seq(c) = apts(e.jg).coverage(Seq(e.pattern))
+      val Seq(c) = tables(e.jg).coverage(Seq(e.pattern))
       e -> Metrics.quality(c, apts.sizes.n1, apts.sizes.n2, e.primary)
     }
   }

@@ -103,6 +103,20 @@ class JoinSpec extends SparkSpec {
     checkApts(nba, Nba.qNba4, uq1, Params.default, Some(Seq(Nba.pgsPlayerJg, UserStudy.tgsJg)))
   }
 
+  test("the APTs over a Spark PT equal those over the driver PT for every graph of UQ₁ at λ_#edges = 2") {
+    val (q, uq) = (Nba.qNba4, Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13"))
+    val params = deep.copy(maxEdges = 2)
+    val driver = Join.Apts(nba, q, uq, params)
+    val overSpark = Join.Apts(nba, q, Query.questionProvenance(nba, q, uq), params)
+    assert(overSpark.sizes == driver.sizes)
+    val graphs = Enumerate.enumerate(nba, q, params, driver.pt.rows.toLong)
+    assert(graphs.size > 20)
+    graphs.foreach { jg =>
+      assertSame(overSpark(jg), driver(jg), jg.describe)
+      assert(overSpark(jg).flagged.rows == driver(jg).flagged.rows, jg.describe)
+    }
+  }
+
   // ---- NULL, Int, Double and string keys ----------------------------------
 
   /** A query relation `r` and three context relations whose keys are
@@ -165,5 +179,17 @@ class JoinSpec extends SparkSpec {
       Vector(JGEdge(0, 1, Some("r"), JoinCond(Seq("id" -> "s")))))
     val e = intercept[IllegalArgumentException](Join.Apts(keyed, byG, xy, deep)(jg))
     assert(e.getMessage.contains("prov_r_id = s compares a number with a string"))
+  }
+
+  test("a PT join key between two aliases that compares a number with a string is rejected") {
+    val q = QuerySpec("r_c3", Seq("r" -> "r", "c3" -> "c"), Seq((("r", "id"), ("c", "s"))), Nil, Seq("r" -> "g"), CountStar("n"))
+    val e = intercept[IllegalArgumentException](Join.Apts(keyed, q, xy, deep))
+    assert(e.getMessage.contains("prov_r_id = prov_c_s compares a number with a string"))
+  }
+
+  test("a condition between two attributes of one alias that compares a number with a string is rejected") {
+    val q = QuerySpec("k_tag", Seq("c2" -> "c"), Seq((("c", "k"), ("c", "tag"))), Nil, Seq("c" -> "tag"), CountStar("n"))
+    val e = intercept[IllegalArgumentException](Join.Apts(keyed, q, SinglePoint(Map("prov_c_tag" -> "same")), deep))
+    assert(e.getMessage.contains("prov_c_k = prov_c_tag compares a number with a string"))
   }
 }
