@@ -276,7 +276,7 @@ object Join {
     val b = mutable.HashMap.empty[Any, mutable.ArrayBuilder.ofInt]
     (0 until rows).foreach { j =>
       val k = key(cols.map(_.key(j)))
-      if (k != null) b.getOrElseUpdate(k, new mutable.ArrayBuilder.ofInt) += j
+      if (k != null) b.getOrElseUpdate(k, new mutable.ArrayBuilder.ofInt).addOne(j)
     }
     b.map { case (k, js) => k -> js.result() }
   }
@@ -299,7 +299,7 @@ object Join {
         val hits = index.getOrElse(k, Array.emptyIntArray)
         var h = 0
         while (h < hits.length) {
-          if (keep == null || keep.get(hits(h))) { l += i; r += hits(h) }
+          if (keep == null || keep.get(hits(h))) { l.addOne(i); r.addOne(hits(h)) }
           h += 1
         }
       }
@@ -321,7 +321,7 @@ object Join {
     var i = 0
     while (i < j.n) {
       val k = kl(i)
-      if (k != null && k == kr(i)) kept += i
+      if (k != null && k == kr(i)) kept.addOne(i)
       i += 1
     }
     j.pick(kept.result())

@@ -195,7 +195,7 @@ object Mine {
     while (i < table.rows) {
       var j = 0
       while (j < cols.length && !cols(j)(i).isNaN) j += 1
-      if (j == cols.length) keep += i
+      if (j == cols.length) keep.addOne(i)
       i += 1
     }
     val kept = keep.result()

@@ -48,58 +48,96 @@ object Correlation {
   }
 
   /** Cramér's V from the contingency table of two categorical columns,
-    * given as dictionary codes (-1 for null).
+    * given as dictionary codes (-1 for null). The categories of each
+    * column are numbered by first appearance among the rows where neither
+    * is null, and χ² sums its cells in that order.
     */
   def cramersV(xs: Array[Int], ys: Array[Int]): Double = {
-    val rows = Array.range(0, xs.length).filter(i => xs(i) >= 0 && ys(i) >= 0)
-    val n = rows.length
-    if (n < 3) return 0.0
-    val (x, nx) = categories(rows.map(xs))
-    val (y, ny) = categories(rows.map(ys))
-    if (nx < 2 || ny < 2) return 0.0
+    val (xNumber, yNumber) = (unnumbered(xs), unnumbered(ys))
+    val (x, y) = (new Array[Int](xs.length), new Array[Int](xs.length))
+    var n, nx, ny = 0
+    var i = 0
+    while (i < xs.length) {
+      if (xs(i) >= 0 && ys(i) >= 0) {
+        if (xNumber(xs(i)) < 0) { xNumber(xs(i)) = nx; nx += 1 }
+        if (yNumber(ys(i)) < 0) { yNumber(ys(i)) = ny; ny += 1 }
+        x(n) = xNumber(xs(i)); y(n) = yNumber(ys(i)); n += 1
+      }
+      i += 1
+    }
+    if (n < 3 || nx < 2 || ny < 2) return 0.0
     val (obs, xTot, yTot) = (new Array[Int](nx * ny), new Array[Int](nx), new Array[Int](ny))
-    x.indices.foreach { r => obs(x(r) * ny + y(r)) += 1; xTot(x(r)) += 1; yTot(y(r)) += 1 }
+    var r = 0
+    while (r < n) { obs(x(r) * ny + y(r)) += 1; xTot(x(r)) += 1; yTot(y(r)) += 1; r += 1 }
     // Every category occurs, so each expected count e is positive.
     var chi2 = 0.0
-    for (i <- 0 until nx; j <- 0 until ny) {
-      val e = xTot(i).toDouble * yTot(j) / n
-      val o = obs(i * ny + j).toDouble
-      chi2 += (o - e) * (o - e) / e
+    i = 0
+    while (i < nx) {
+      var j = 0
+      while (j < ny) {
+        val e = xTot(i).toDouble * yTot(j) / n
+        val o = obs(i * ny + j).toDouble
+        chi2 += (o - e) * (o - e) / e
+        j += 1
+      }
+      i += 1
     }
     math.min(1.0, math.sqrt(chi2 / (n * (math.min(nx, ny) - 1))))
   }
 
   /** Correlation ratio η: how much of the numeric variance the categories
     * explain — the standard mixed-pair association. `cats` are dictionary
-    * codes (-1 for null) into `strings`, `nums` NaN for null.
+    * codes (-1 for null) into `strings`, `nums` NaN for null. Every sum
+    * over rows runs in row order, from 0.0.
     */
   def correlationRatio(cats: Array[Int], strings: Array[String], nums: Array[Double]): Double = {
-    val rows = Array.range(0, cats.length).filter(i => cats(i) >= 0 && !nums(i).isNaN)
-    val n = rows.length
-    if (n < 3) return 0.0
-    val vs = rows.map(nums)
-    val mean = vs.foldLeft(0.0)(_ + _) / n
-    val ssTot = vs.foldLeft(0.0)((s, v) => s + (v - mean) * (v - mean))
-    if (ssTot <= 0) return 0.0
     val (count, sum) = (new Array[Int](strings.length), new Array[Double](strings.length))
-    rows.indices.foreach { r => count(cats(rows(r))) += 1; sum(cats(rows(r))) += vs(r) }
-    // Groups are summed in the order a HashMap keyed by their strings
-    // visits them; the last bits depend on it, and FrontEndSpec pins them.
-    val groups = scala.collection.immutable.HashMap.from(strings.indices.filter(count(_) > 0).map(c => strings(c) -> c))
-    val ssBetween = groups.valuesIterator.foldLeft(0.0) { (s, c) =>
+    val seen = new Array[Int](strings.length) // the codes with a row, by first appearance
+    var n, groups = 0
+    var total = 0.0
+    var i = 0
+    while (i < cats.length) {
+      val c = cats(i)
+      if (c >= 0 && !nums(i).isNaN) {
+        if (count(c) == 0) { seen(groups) = c; groups += 1 }
+        count(c) += 1; sum(c) += nums(i); total += nums(i); n += 1
+      }
+      i += 1
+    }
+    if (n < 3) return 0.0
+    val mean = total / n
+    var ssTot = 0.0
+    i = 0
+    while (i < cats.length) {
+      if (cats(i) >= 0 && !nums(i).isNaN) ssTot += (nums(i) - mean) * (nums(i) - mean)
+      i += 1
+    }
+    if (ssTot <= 0) return 0.0
+    // Groups are summed in the order a HashMap keyed by their strings, and
+    // filled in code order, visits them; the last bits depend on it, and
+    // FrontEndSpec pins them.
+    java.util.Arrays.sort(seen, 0, groups)
+    val byString = scala.collection.immutable.HashMap.newBuilder[String, Int]
+    i = 0
+    while (i < groups) { byString.addOne(strings(seen(i)) -> seen(i)); i += 1 }
+    var ssBetween = 0.0
+    val it = byString.result().valuesIterator
+    while (it.hasNext) {
+      val c = it.next()
       val m = sum(c) / count(c)
-      s + count(c) * (m - mean) * (m - mean)
+      ssBetween += count(c) * (m - mean) * (m - mean)
     }
     math.sqrt(math.min(1.0, ssBetween / ssTot))
   }
 
-  /** The non-negative `codes` numbered by first appearance, and how many
-    * distinct codes there are.
-    */
-  private def categories(codes: Array[Int]): (Array[Int], Int) = {
-    val number = Array.fill(codes.foldLeft(0)(math.max) + 1)(-1)
-    var k = 0
-    (codes.map { c => if (number(c) < 0) { number(c) = k; k += 1 }; number(c) }, k)
+  /** -1 for each code `0 to codes.max`: no code numbered yet. */
+  private def unnumbered(codes: Array[Int]): Array[Int] = {
+    var max = -1
+    var i = 0
+    while (i < codes.length) { max = math.max(max, codes(i)); i += 1 }
+    val out = new Array[Int](max + 1)
+    java.util.Arrays.fill(out, -1)
+    out
   }
 
   /** Single-link clusters of the sample's attributes `attrs` whose

@@ -1,7 +1,7 @@
 package repro.ml
 
+import java.util.Arrays
 import repro.core.Metrics
-import scala.collection.mutable
 import scala.util.Random
 
 /** A compact random-forest classifier used for attribute-relevance ranking
@@ -19,7 +19,7 @@ import scala.util.Random
   * "LightGBM", NeurIPS 2017): at a node, one pass over its rows counts the
   * rows and t2 rows of each value of an attribute, and every candidate
   * split of that attribute is scored from those counts. Only the chosen
-  * split partitions the node's rows.
+  * split partitions the node's rows. Both run over primitive arrays only.
   */
 object RandomForest {
 
@@ -36,7 +36,7 @@ object RandomForest {
     val attrs = sample.names
     val p = attrs.size
     val labels = new Array[Int](n)
-    java.util.Arrays.fill(labels, sample.t1Rows, n, 1)
+    Arrays.fill(labels, sample.t1Rows, n, 1)
     val columns = attrs.map(column(sample, _)).toArray
     val imp = new Array[Double](p)
     val rnd = new Random(seed)
@@ -48,14 +48,17 @@ object RandomForest {
     // first draw, each weighted by how often it was drawn: every count, and
     // the order in which a node's codes first appear, is that of the draw.
     val weight = new Array[Int](n)
+    // A node's rows are `idx(from until until)`, in draw order; a split
+    // moves its right rows through `spill`, so each child keeps that order.
+    val idx, spill = new Array[Int](n)
 
     // Greedy split search over a random feature subset; accumulates the
     // weighted impurity decrease of each chosen split into `imp`. The first
     // candidate of the highest gain wins.
-    def grow(idx: Array[Int], depth: Int): Unit = {
+    def grow(from: Int, until: Int, depth: Int): Unit = {
       var size, c1 = 0
-      var x = 0
-      while (x < idx.length) { size += weight(idx(x)); c1 += weight(idx(x)) * labels(idx(x)); x += 1 }
+      var x = from
+      while (x < until) { size += weight(idx(x)); c1 += weight(idx(x)) * labels(idx(x)); x += 1 }
       val c0 = size - c1
       if (depth >= MaxDepth || size < 2 * MinLeaf || c0 == 0 || c1 == 0) return
       val parentGini = gini(c0, c1)
@@ -65,7 +68,7 @@ object RandomForest {
       var o = 0
       while (o < math.min(mtry, p)) {
         val f = order(o)
-        columns(f).splits(idx, weight, labels, found)
+        columns(f).splits(idx, from, until, weight, labels, found)
         var c = 0
         while (c < found.size) {
           val l = found.left(c)
@@ -84,35 +87,36 @@ object RandomForest {
       if (bestF >= 0 && bestGain > 1e-9) {
         imp(bestF) += bestGain * size
         val column = columns(bestF)
-        val l, r = new mutable.ArrayBuilder.ofInt
-        x = 0
-        while (x < idx.length) {
-          if (column.left(bestKey, idx(x))) l += idx(x) else r += idx(x)
+        var l, r = 0
+        x = from
+        while (x < until) {
+          val i = idx(x)
+          if (column.left(bestKey, i)) { idx(from + l) = i; l += 1 } else { spill(r) = i; r += 1 }
           x += 1
         }
-        grow(l.result(), depth + 1)
-        grow(r.result(), depth + 1)
+        System.arraycopy(spill, 0, idx, from + l, r)
+        grow(from, from + l, depth + 1)
+        grow(from + l, until, depth + 1)
       }
     }
 
     var tree = 0
     while (tree < NTrees) {
-      java.util.Arrays.fill(weight, 0)
-      val idx = new mutable.ArrayBuilder.ofInt
-      var x = 0
+      Arrays.fill(weight, 0)
+      var m, x = 0
       while (x < n) {
         val i = rnd.nextInt(n)
-        if (weight(i) == 0) idx += i
+        if (weight(i) == 0) { idx(m) = i; m += 1 }
         weight(i) += 1
         x += 1
       }
-      grow(idx.result(), depth = 0)
+      grow(0, m, depth = 0)
       tree += 1
     }
     val total = imp.sum
-    attrs.zipWithIndex.map { case (a, i) =>
+    Map.from(attrs.iterator.zipWithIndex.map { case (a, i) =>
       a -> (if (total <= 0) 0.0 else imp(i) / total)
-    }.toMap
+    })
   }
 
   /** Puts `0 until xs.length` into `xs` in the order that `rnd.shuffle`
@@ -149,19 +153,69 @@ object RandomForest {
     }
   }
 
-  /** Attribute `a` of the sample as codes. A numeric value's code is its
-    * rank among the sample's distinct values, where −0.0 and 0.0 are one
-    * value; a categorical value's code is its code in the table's
-    * dictionary. NaN and null are -1.
+  /** Attribute `a` of the sample as codes: a value's code is its rank
+    * among the distinct values the sample holds, numbers by value (−0.0
+    * and 0.0 are one value) and strings by `compareTo`. NaN and null are
+    * -1.
     */
   private def column(sample: Metrics.Table, a: String): Column =
     if (sample.isNumeric(a)) {
-      val values = sample.doubles(a).map(_ + 0.0) // −0.0 + 0.0 is 0.0
-      val sorted = values.filter(!_.isNaN)
-      java.util.Arrays.sort(sorted)
-      val ranked = sorted.distinct
-      new NumericColumn(values.map(v => if (v.isNaN) -1 else java.util.Arrays.binarySearch(ranked, v)), ranked.length)
-    } else new CategoricalColumn(sample.codes(a), sample.strings(a))
+      val values = sample.doubles(a)
+      val ranked = new Array[Double](values.length)
+      var m = 0
+      var i = 0
+      while (i < values.length) {
+        values(i) += 0.0 // −0.0 + 0.0 is 0.0
+        if (!values(i).isNaN) { ranked(m) = values(i); m += 1 }
+        i += 1
+      }
+      val d = distinctSorted(ranked, m)
+      val code = new Array[Int](values.length)
+      i = 0
+      while (i < values.length) {
+        code(i) = if (values(i).isNaN) -1 else Arrays.binarySearch(ranked, 0, d, values(i))
+        i += 1
+      }
+      new NumericColumn(code, d)
+    } else {
+      val dict = sample.codes(a)
+      val strings = sample.strings(a)
+      // The dictionary codes the sample holds, ascending, and their strings.
+      val present = new Array[Int](dict.length)
+      var m = 0
+      var i = 0
+      while (i < dict.length) { if (dict(i) >= 0) { present(m) = dict(i); m += 1 }; i += 1 }
+      Arrays.sort(present, 0, m)
+      var d = 0
+      i = 0
+      while (i < m) { if (d == 0 || present(i) != present(d - 1)) { present(d) = present(i); d += 1 }; i += 1 }
+      val sorted = new Array[AnyRef](d) // Strings, sorted by `compareTo`
+      i = 0
+      while (i < d) { sorted(i) = strings(present(i)); i += 1 }
+      Arrays.sort(sorted)
+      // The dictionary strings are distinct, so each has one rank.
+      val rank = new Array[Int](d)
+      i = 0
+      while (i < d) { rank(i) = Arrays.binarySearch(sorted, strings(present(i))); i += 1 }
+      val code = new Array[Int](dict.length)
+      i = 0
+      while (i < dict.length) {
+        code(i) = if (dict(i) < 0) -1 else rank(Arrays.binarySearch(present, 0, d, dict(i)))
+        i += 1
+      }
+      new CategoricalColumn(code, d)
+    }
+
+  /** Sorts `xs(0 until m)`, none NaN, moves its distinct values to the
+    * front and returns how many there are.
+    */
+  private def distinctSorted(xs: Array[Double], m: Int): Int = {
+    Arrays.sort(xs, 0, m)
+    var d = 0
+    var i = 0
+    while (i < m) { if (d == 0 || xs(i) != xs(d - 1)) { xs(d) = xs(i); d += 1 }; i += 1 }
+    d
+  }
 
   /** One attribute's codes `0 until values` (-1 for null or NaN) per sample
     * row, with the counters of one node's split search.
@@ -173,13 +227,14 @@ object RandomForest {
     /** The node's distinct codes, in order of first appearance. */
     protected val present = new Array[Int](values)
 
-    /** Sets `out` to the candidate splits of the node's rows `idx`, row i
-      * counted `weight(i)` times, in order.
+    /** Sets `out` to the candidate splits of the node's rows
+      * `idx(from until until)`, row i counted `weight(i)` times, in order.
       */
-    final def splits(idx: Array[Int], weight: Array[Int], labels: Array[Int], out: Candidates): Unit = {
+    final def splits(idx: Array[Int], from: Int, until: Int, weight: Array[Int], labels: Array[Int],
+                     out: Candidates): Unit = {
       var m = 0
-      var x = 0
-      while (x < idx.length) {
+      var x = from
+      while (x < until) {
         val i = idx(x)
         val c = code(i)
         if (c >= 0) {
@@ -196,7 +251,7 @@ object RandomForest {
     }
 
     /** Adds the candidates over the node's `m` distinct codes `present`
-      * to `out`.
+      * to `out`; may reorder `present(0 until m)`.
       */
     protected def candidates(m: Int, out: Candidates): Unit
 
@@ -210,7 +265,9 @@ object RandomForest {
   private final class NumericColumn(code: Array[Int], values: Int) extends Column(code, values) {
     protected def candidates(m: Int, out: Candidates): Unit =
       if (m >= 2) {
-        java.util.Arrays.sort(present, 0, m)
+        // The node's codes in ascending order, read off the counters.
+        var d, c = 0
+        while (c < values) { if (rows(c) > 0) { present(d) = c; d += 1 }; c += 1 }
         var next, l, l1 = 0
         var k = 1
         while (k <= 8) {
@@ -226,20 +283,20 @@ object RandomForest {
     def left(key: Int, i: Int): Boolean = code(i) >= 0 && code(i) <= key
   }
 
-  /** `value = v` for the node's 16 most frequent values v; a key is v's
-    * code. Ties in frequency, and then in gain, keep the order in which
-    * grouping the node's rows by their strings (`groupBy`) lists the
-    * values: that of a `mutable.HashMap` turned `toMap` (insertion order up
-    * to 4 keys, hash order above), here filled with the node's distinct
-    * values in order of first appearance.
+  /** `value = v` for the node's 16 most frequent values v, by weighted row
+    * count descending and then by string ascending (the code's order); a
+    * key is v's code. A tie in gain keeps that order.
     */
-  private final class CategoricalColumn(code: Array[Int], strings: Array[String])
-      extends Column(code, strings.length) {
+  private final class CategoricalColumn(code: Array[Int], values: Int) extends Column(code, values) {
+    /** (−count, code) of each of the node's codes, packed in a `Long`. */
+    private val byCount = new Array[Long](values)
+
     protected def candidates(m: Int, out: Candidates): Unit = {
-      val byString = mutable.HashMap.empty[String, Int]
       var k = 0
-      while (k < m) { byString.getOrElseUpdate(strings(present(k)), present(k)); k += 1 }
-      byString.toMap.values.toSeq.sortBy(c => -rows(c)).take(16).foreach(c => out.add(c, rows(c), t2(c)))
+      while (k < m) { val c = present(k); byCount(k) = (-rows(c).toLong << 32) | c; k += 1 }
+      Arrays.sort(byCount, 0, m)
+      k = 0
+      while (k < math.min(m, 16)) { val c = byCount(k).toInt; out.add(c, rows(c), t2(c)); k += 1 }
     }
 
     def left(key: Int, i: Int): Boolean = code(i) == key

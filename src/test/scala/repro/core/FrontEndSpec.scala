@@ -20,9 +20,8 @@ class FrontEndSpec extends SparkSpec {
   /** 700 APT rows (404 of t1): an Int, a Double with NaN, two strings and a
     * boolean (held as strings), each with nulls; 140 rows repeat an earlier
     * row under a new `pt_id`, a few of them twice. One string has nine
-    * values, more than a `groupBy` keeps in insertion order; on this seed
-    * the forest's importances change if its candidate values are grouped
-    * by dictionary code instead of by string.
+    * values, so the forest's candidate values tie in count; it orders
+    * them by string, not by dictionary code or hash.
     */
   private lazy val table: Metrics.Table = {
     val rnd = new Random(3)

@@ -86,6 +86,55 @@ class MlSpec extends SparkSpec {
     assert(samples.count(RandomForest.featureImportance(_).values.sum > 0) > 150)
   }
 
+  /** `s` with each categorical value v renamed to `rename(v)`; every other
+    * cell, and the order of the rows, is kept.
+    */
+  private def relabel(s: Metrics.Table, rename: String => String): Metrics.Table = {
+    val cols = s.names.map { a =>
+      if (s.isNumeric(a)) s.doubles(a).toSeq
+      else s.stringValues(a).toSeq.map(v => if (v == null) null else rename(v))
+    }
+    TestData.sample(s.names.map(a => a -> s.isNumeric(a)),
+      (0 until s.rows).map(r => (cols.map(_(r)), if (r < s.t1Rows) 0 else 1)))
+  }
+
+  test("importances do not depend on the hash codes of categorical values") {
+    // A common prefix keeps the strings' order and changes every hash code.
+    val moved = for {
+      (s, i) <- (2 until 222).map(randomSample).zipWithIndex
+      renamed = relabel(s, "~" + _)
+      seed <- Seq(7L, 13L, 42L)
+      if RandomForest.featureImportance(renamed, seed) != RandomForest.featureImportance(s, seed)
+    } yield (i + 2, seed)
+    assert(moved.isEmpty, s"${moved.size} (sample, seed) pairs moved: ${moved.take(10)}")
+  }
+
+  test("a tie in count across the 16-value cut keeps the lower strings") {
+    // 15 values of 20 rows, half of them t2's, and 10 pure values of 8
+    // rows: the 16 candidates of the root are the 15 large values and the
+    // most frequent of the small ones, so a tie among those picks the split.
+    val rnd = new Random(17)
+    val rows = rnd.shuffle((0 until 300).map(i => (s"b${i % 15}", i / 15 % 2)) ++
+      (0 until 80).map(i => (s"s${i % 10}", i % 10 % 2)))
+    val s = TestData.sample(Seq("wide" -> false, "num" -> true),
+      rows.map { case (v, label) => (Seq(v, rnd.nextGaussian()), label) })
+    val wide = s.stringValues("wide")
+    // The root's weighted counts per value, from the first tree's draw.
+    def cutInTie(seed: Long): Boolean = {
+      val r = new Random(seed)
+      val counts = Array.fill(s.rows)(r.nextInt(s.rows)).groupBy(wide(_)).values.map(_.length).toSeq.sorted.reverse
+      counts.size > 16 && counts(15) == counts(16)
+    }
+    val seeds = (0L until 60L).filter(cutInTie)
+    assert(seeds.size >= 5)
+    for (seed <- seeds) {
+      val imp = RandomForest.featureImportance(s, seed)
+      assert(imp("wide") > 0, s"seed $seed")
+      assert(imp == ReferenceForest.featureImportance(s, seed), s"seed $seed")
+      assert(imp == RandomForest.featureImportance(relabel(s, "~" + _), seed), s"seed $seed")
+    }
+  }
+
   // ---- association measures ----------------------------------------------
 
   /** `xs` as a sample's string column: its dictionary codes, and the

@@ -83,11 +83,11 @@ object ReferenceForest {
       .map(th => (i: Int) => !values(i).isNaN && values(i) <= th)
   }
 
-  /** `value = v` for the node's 16 most frequent values v. Values are
-    * grouped by their strings, not their codes: ties in frequency, and then
-    * in gain, keep the order of that `groupBy`.
+  /** `value = v` for the node's 16 most frequent values v, ties in
+    * frequency broken by v's string, ascending; ties in gain keep this
+    * order.
     */
   private def categoricalSplits(codes: Array[Int], strings: Array[String])(idx: Array[Int]): Seq[Int => Boolean] =
-    idx.filter(codes(_) >= 0).groupBy(strings(_)).toSeq.sortBy(-_._2.length).take(16)
+    idx.filter(codes(_) >= 0).groupBy(strings(_)).toSeq.sortBy { case (s, rows) => (-rows.length, s) }.take(16)
       .map { case (_, rows) => val c = codes(rows.head); (i: Int) => codes(i) == c }
 }
